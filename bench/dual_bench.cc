@@ -17,14 +17,6 @@
 // LKP_DUAL_MAX_N trims the sweep (e.g. LKP_DUAL_MAX_N=1024 for a quick
 // run); the full sweep's n=4096 primal eigendecomposition takes minutes
 // by design — that cost is the benchmark's whole point.
-//
-// A second sweep covers the blended kernel 0 < alpha < 1: primal
-// (materialize Diag(q)(alpha V V^T + (1-alpha) I)Diag(q)) vs
-// factor-plus-diagonal (KDpp::CreateFactorDiag through the rank-d
-// diagonal-update spectrum — O(n d) memory, never n x n). Its rows add
-// a peak-allocation column from the matrix_probe and its verdicts use
-// distinct strings (BLEND VIOLATION / BLEND UNVERIFIED) so
-// record_baseline.sh can gate the two sections independently.
 
 #include <cmath>
 #include <cstdio>
@@ -65,134 +57,6 @@ double BestOfMillis(const Build& build, int reps, T* last) {
     if (r == reps - 1) *last = std::move(made).ValueOrDie();
   }
   return best;
-}
-
-// Blended-kernel sweep: Diag(q)(alpha V V^T + (1-alpha) I)Diag(q) built
-// primally vs as W W^T + D (W = sqrt(alpha) Diag(q) V, D = (1-alpha) q^2).
-// Shapes are capped at n=1024: the factor-diag spectrum is O(n^2 d^2)
-// time (its win is O(n d) memory, not wall time), so the n=4096 primal
-// row would be benchmarking two deliberately slow paths against each
-// other. Returns 0 on full agreement, 1 otherwise.
-int RunBlend(int max_n) {
-  const int k = 10;
-  std::printf("\nblended kernel: primal vs factor-plus-diagonal (k=%d)\n", k);
-  std::printf("primal:      materialize Diag(q)(aVV^T+(1-a)I)Diag(q) "
-              "+ KDpp::Create\n");
-  std::printf("factor-diag: KDpp::CreateFactorDiag (rank-d diagonal "
-              "update, O(nd) memory)\n\n");
-  std::printf("%6s %5s %6s %6s %12s %12s %10s %10s %11s %11s %8s\n", "n", "d",
-              "alpha", "reps", "primal_ms", "fdiag_ms", "peak_p", "peak_fd",
-              "dlogz_rel", "dmarg_rel", "streams");
-
-  struct Shape {
-    int n;
-    int d;
-  };
-  bool agree = true;
-  int shapes_run = 0;
-  for (const Shape shape : {Shape{256, 16}, Shape{256, 64}, Shape{1024, 16}}) {
-    const int n = shape.n;
-    const int d = shape.d;
-    if (n > max_n) {
-      std::printf("(n=%d skipped: LKP_DUAL_MAX_N=%d)\n", n, max_n);
-      continue;
-    }
-    const Matrix v = RandomFactor(n, d, 9500 + n + d);
-    Rng qrng(100 + static_cast<uint64_t>(n));
-    Vector q(n);
-    for (int i = 0; i < n; ++i) q[i] = std::exp(0.3 * qrng.Normal());
-
-    // alpha=0.5 is the timed row; the outer alphas re-check exactness
-    // near the blend's endpoints with a single rep each.
-    for (double alpha : {0.25, 0.5, 0.99}) {
-      Matrix w = v;
-      const double sqrt_alpha = std::sqrt(alpha);
-      for (int r = 0; r < n; ++r) {
-        for (int c = 0; c < d; ++c) w(r, c) *= sqrt_alpha * q[r];
-      }
-      Vector added(n);
-      for (int i = 0; i < n; ++i) added[i] = (1.0 - alpha) * q[i] * q[i];
-
-      const int reps = alpha == 0.5 ? 3 : 1;
-      std::optional<KDpp> primal;
-      std::optional<KDpp> fdiag;
-      matrix_probe::Arm();
-      const double primal_ms = BestOfMillis(
-          [&] {
-            Matrix l = MatMulTransB(v, v);
-            l *= alpha;
-            l.AddDiagonal(1.0 - alpha);
-            for (int r = 0; r < n; ++r) {
-              for (int c = 0; c < n; ++c) l(r, c) *= q[r] * q[c];
-            }
-            return KDpp::Create(std::move(l), k);
-          },
-          reps, &primal);
-      const long peak_primal = matrix_probe::Disarm();
-      matrix_probe::Arm();
-      const double fdiag_ms = BestOfMillis(
-          [&] {
-            auto factor = LowRankFactor::Create(w);
-            factor.status().CheckOK();
-            return KDpp::CreateFactorDiag(std::move(factor).ValueOrDie(),
-                                          Vector(added), k);
-          },
-          reps, &fdiag);
-      const long peak_fdiag = matrix_probe::Disarm();
-
-      const double lz_p = primal->LogNormalizer();
-      const double dlogz = std::fabs(lz_p - fdiag->LogNormalizer()) /
-                           std::max(1.0, std::fabs(lz_p));
-      const Vector diag_p = primal->MarginalDiagonal();
-      const Vector diag_f = fdiag->MarginalDiagonal();
-      double dmarg = 0.0;
-      for (int i = 0; i < n; ++i) {
-        dmarg = std::max(dmarg, std::fabs(diag_p[i] - diag_f[i]) /
-                                    std::max(1e-12, std::fabs(diag_p[i])));
-      }
-
-      int equal_draws = 0;
-      const int draws = 10;
-      Rng master_p(79);
-      Rng master_f(79);
-      for (int t = 0; t < draws; ++t) {
-        Rng fork_p = master_p.Fork();
-        Rng fork_f = master_f.Fork();
-        auto sp = primal->Sample(&fork_p);
-        auto sf = fdiag->Sample(&fork_f);
-        sp.status().CheckOK();
-        sf.status().CheckOK();
-        if (*sp == *sf) ++equal_draws;
-      }
-
-      // The memory claim is part of the verdict: the factor-diag build
-      // must never have constructed an n x n matrix.
-      const bool row_ok = dlogz <= 1e-10 && dmarg <= 1e-8 &&
-                          equal_draws == draws &&
-                          peak_fdiag < static_cast<long>(n) * n;
-      if (!row_ok) agree = false;
-      ++shapes_run;
-      std::printf("%6d %5d %6.2f %6d %12.2f %12.2f %10ld %10ld %11.2e "
-                  "%11.2e %5d/%d\n",
-                  n, d, alpha, reps, primal_ms, fdiag_ms, peak_primal,
-                  peak_fdiag, dlogz, dmarg, equal_draws, draws);
-    }
-  }
-
-  if (shapes_run == 0) {
-    std::printf("\nBLEND UNVERIFIED: LKP_DUAL_MAX_N=%d trimmed every "
-                "shape\n", max_n);
-    return 1;
-  }
-  if (!agree) {
-    std::printf("\nBLEND VIOLATION: factor-diag and primal blended k-DPPs "
-                "disagree (or an n x n matrix was materialized)\n");
-    return 1;
-  }
-  std::printf("\nblended factor-diag and primal agree on every shape "
-              "(normalizers, marginals, bit-identical streams, no n x n "
-              "allocation)\n");
-  return 0;
 }
 
 int Run() {
@@ -268,24 +132,20 @@ int Run() {
     }
   }
 
-  int rc = 0;
   if (shapes_run == 0) {
     // Success here would record a green exactness verdict backed by
     // zero measurements.
     std::printf("\nAGREEMENT UNVERIFIED: LKP_DUAL_MAX_N=%d trimmed every "
                 "shape\n", max_n);
-    rc = 1;
-  } else if (!agree) {
-    std::printf("\nAGREEMENT VIOLATION: dual and primal k-DPPs disagree\n");
-    rc = 1;
-  } else {
-    std::printf("\ndual and primal agree on every shape (normalizers, "
-                "marginals, and bit-identical sample streams)\n");
+    return 1;
   }
-  // The blend sweep runs either way: a dual-section failure must not
-  // mask a blend verdict (and vice versa — both gate the exit status).
-  const int blend_rc = RunBlend(max_n);
-  return rc != 0 ? rc : blend_rc;
+  if (!agree) {
+    std::printf("\nAGREEMENT VIOLATION: dual and primal k-DPPs disagree\n");
+    return 1;
+  }
+  std::printf("\ndual and primal agree on every shape (normalizers, "
+              "marginals, and bit-identical sample streams)\n");
+  return 0;
 }
 
 }  // namespace

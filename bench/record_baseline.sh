@@ -18,12 +18,6 @@
 #     streams) plus indicative construction timings/speedups. Its
 #     n=4096 primal eigendecompositions take a few minutes; that cost
 #     is the measurement.
-#   * dual_bench's second sweep contributes the blended-kernel verdict
-#     (factor-plus-diagonal vs primal on 0 < alpha < 1: normalizers,
-#     marginals, bit-identical streams, and the allocation-probed
-#     no-n^2-matrix claim) plus indicative build timings. Its verdict
-#     strings (BLEND VIOLATION / BLEND UNVERIFIED) are disjoint from the
-#     dual sweep's, so the two sections gate independently.
 #   * map_bench contributes the machine-independent factor-vs-primal
 #     greedy MAP agreement verdict (bit-identical selected lists on a
 #     blended alpha=0.5 kernel) plus indicative rerank timings/speedups.
@@ -268,36 +262,6 @@ if not dual["shapes"]:
     # A verdict backed by zero measurements is not a green verdict.
     dual["dual_agrees"] = False
 
-# --- dual_bench blend sweep: factor-plus-diagonal vs primal on the
-# blended kernel. Rows carry a float alpha column and peak-allocation
-# counts (largest single Matrix, in elements), so the regex cannot
-# collide with the dual sweep's integer-reps/speedup-x row shape.
-dual_blend = {"blend_agrees": True, "shapes": []}
-for line in open(dual_path):
-    if "BLEND VIOLATION" in line or "BLEND UNVERIFIED" in line:
-        dual_blend["blend_agrees"] = False
-    m = re.match(
-        r"\s*(\d+)\s+(\d+)\s+([\d.]+)\s+(\d+)\s+([\d.]+)\s+([\d.]+)"
-        r"\s+(\d+)\s+(\d+)\s+(\S+)\s+(\S+)\s+(\d+)/(\d+)\s*$",
-        line)
-    if m:
-        dual_blend["shapes"].append({
-            "n": int(m.group(1)),
-            "d": int(m.group(2)),
-            "alpha": float(m.group(3)),
-            "primal_ms": float(m.group(5)),
-            "fdiag_ms": float(m.group(6)),
-            "peak_alloc_primal": int(m.group(7)),
-            "peak_alloc_fdiag": int(m.group(8)),
-            "dlogz_rel": float(m.group(9)),
-            "dmarg_rel": float(m.group(10)),
-            "identical_draws": int(m.group(11)),
-            "total_draws": int(m.group(12)),
-        })
-if not dual_blend["shapes"]:
-    # A verdict backed by zero measurements is not a green verdict.
-    dual_blend["blend_agrees"] = False
-
 # --- map_bench: per-shape timing rows + the factor-vs-primal greedy MAP
 # agreement verdict (selected lists bit-identical, no tolerance).
 map_rerank = {"map_agrees": True, "shapes": []}
@@ -389,7 +353,6 @@ baseline = {
     "train_throughput": train,
     "eigen": eigen,
     "dual": dual,
-    "dual_blend": dual_blend,
     "map": map_rerank,
     "stream": stream,
     "obs_metrics": obs_metrics,

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/string_util.h"
-#include "linalg/factor_diag.h"
 #include "linalg/lu.h"
 
 namespace lkpdpp {
@@ -91,14 +90,6 @@ Dpp::Dpp(LowRankFactor factor, EigenDecomposition dual_eig, double log_z)
       eig_(std::move(dual_eig)),
       log_z_(log_z) {}
 
-Dpp::Dpp(LowRankFactor factor, Vector fd_diag, Vector spectrum, double log_z)
-    : factor_(std::move(factor)),
-      fd_diag_(std::move(fd_diag)),
-      factor_diag_(true),
-      log_z_(log_z) {
-  eig_.eigenvalues = std::move(spectrum);
-}
-
 Result<Dpp> Dpp::Create(Matrix kernel) {
   if (kernel.rows() != kernel.cols()) {
     return Status::InvalidArgument(
@@ -139,31 +130,6 @@ Result<Dpp> Dpp::CreateDual(LowRankFactor factor) {
   return Dpp(std::move(factor), std::move(eig), log_z);
 }
 
-Result<Dpp> Dpp::CreateFactorDiag(LowRankFactor factor, Vector diag) {
-  const int n = factor.ground_size();
-  if (n < 1) {
-    return Status::InvalidArgument(
-        "factor-diag DPP requires a non-empty factor");
-  }
-  if (diag.size() != n) {
-    return Status::InvalidArgument(
-        StrFormat("factor-diag DPP diagonal length %d != ground size %d",
-                  diag.size(), n));
-  }
-  if (!diag.AllFinite()) {
-    return Status::NumericalError(
-        "factor-diag DPP diagonal contains non-finite values");
-  }
-  // The full n-length spectrum of W W^T + D, then the exact PSD-boundary
-  // policy Create applies — the same clamp at the same ground size, so
-  // rank detection is representation-independent.
-  LKP_ASSIGN_OR_RETURN(Vector spectrum, FactorDiagSpectrum(factor.v(), diag));
-  LKP_RETURN_IF_ERROR(ClampSpectrumToPsd(&spectrum, n));
-  double log_z = 0.0;
-  for (int i = 0; i < spectrum.size(); ++i) log_z += std::log1p(spectrum[i]);
-  return Dpp(std::move(factor), std::move(diag), std::move(spectrum), log_z);
-}
-
 Result<double> Dpp::LogProb(const std::vector<int>& subset) const {
   std::vector<int> sorted = subset;
   std::sort(sorted.begin(), sorted.end());
@@ -180,15 +146,9 @@ Result<double> Dpp::LogProb(const std::vector<int>& subset) const {
   }
   if (sorted.empty()) return -log_z_;  // det of empty matrix is 1.
   // det(L_S) from the kernel submatrix, or from the Gram of the factor's
-  // rows (plus the added diagonal in factor-diag mode) — the same
-  // matrix, assembled without materializing L.
-  Matrix sub = dual_ || factor_diag_ ? factor_.SubsetGram(sorted)
-                                     : kernel_.PrincipalSubmatrix(sorted);
-  if (factor_diag_) {
-    for (size_t i = 0; i < sorted.size(); ++i) {
-      sub(static_cast<int>(i), static_cast<int>(i)) += fd_diag_[sorted[i]];
-    }
-  }
+  // rows — the same matrix, assembled without materializing L.
+  const Matrix sub = dual_ ? factor_.SubsetGram(sorted)
+                           : kernel_.PrincipalSubmatrix(sorted);
   LKP_ASSIGN_OR_RETURN(double det, Determinant(sub));
   if (det <= 0.0) return -std::numeric_limits<double>::infinity();
   return std::log(det) - log_z_;
@@ -212,12 +172,6 @@ static Vector DppMarginalWeights(const Vector& lambda) {
 Matrix Dpp::MarginalKernel() const {
   const int m = ground_size();
   const Vector w = DppMarginalWeights(eig_.eigenvalues);
-  if (factor_diag_) {
-    Result<Matrix> out = FactorDiagWeightedOuter(
-        factor_.v(), fd_diag_, eig_.eigenvalues, w);
-    LKP_CHECK(out.ok()) << out.status().ToString();
-    return std::move(out).ValueOrDie();
-  }
   if (dual_) {
     return WeightedLiftedOuter(factor_, eig_.eigenvalues,
                                eig_.eigenvectors, w);
@@ -235,12 +189,6 @@ Matrix Dpp::MarginalKernel() const {
 
 Vector Dpp::MarginalDiagonal() const {
   const Vector w = DppMarginalWeights(eig_.eigenvalues);
-  if (factor_diag_) {
-    Result<Vector> out = FactorDiagWeightedDiagonal(
-        factor_.v(), fd_diag_, eig_.eigenvalues, w);
-    LKP_CHECK(out.ok()) << out.status().ToString();
-    return std::move(out).ValueOrDie();
-  }
   if (dual_) {
     return WeightedLiftedDiagonal(factor_, eig_.eigenvalues,
                                   eig_.eigenvectors, w);
@@ -297,24 +245,12 @@ Result<std::vector<int>> Dpp::Sample(Rng* rng) const {
                                             eig_.eigenvectors, selected);
     return SampleElementaryDpp(std::move(basis), rng);
   }
-  // Primal and factor-diag modes share the selection walk bit for bit:
-  // both hold the full n-length spectrum, so a fixed seed selects the
-  // same eigenvector indices (given equal spectra).
   std::vector<int> selected;
   for (int i = 0; i < m; ++i) {
     const double lam = eig_.eigenvalues[i];
     if (rng->Uniform() < lam / (1.0 + lam)) selected.push_back(i);
   }
   if (selected.empty()) return std::vector<int>{};
-  if (factor_diag_) {
-    // Materialize exactly the selected eigenvectors of W W^T + D —
-    // n x |selected|, never n x n.
-    LKP_ASSIGN_OR_RETURN(
-        Matrix basis,
-        FactorDiagEigenvectors(factor_.v(), fd_diag_, eig_.eigenvalues,
-                               selected));
-    return SampleElementaryDpp(std::move(basis), rng);
-  }
   Matrix basis(m, static_cast<int>(selected.size()));
   for (size_t c = 0; c < selected.size(); ++c) {
     basis.SetCol(static_cast<int>(c),

@@ -24,22 +24,17 @@ namespace lkpdpp {
 
 /// An exact standard DPP with PSD kernel L over {0..m-1}.
 ///
-/// Three representations share this type. The primal one (Create) holds
-/// the n x n kernel and its full eigendecomposition. The dual one
+/// Two representations share this type. The primal one (Create) holds the
+/// n x n kernel and its full eigendecomposition. The dual one
 /// (CreateDual) holds a rank-d factor V with L = V V^T plus the d x d
 /// dual eigendecomposition, and never materializes L: probabilities come
 /// from Gram determinants and sampling lifts dual eigenvectors on demand
-/// (Gartrell et al. 2016). The factor-diag one (CreateFactorDiag) holds
-/// L = W W^T + Diag(diag) — the blended serving shape — with the full
-/// n-length spectrum computed by inertia bisection
-/// (linalg/factor_diag.h) and eigenvectors materialized per draw, again
-/// never forming n x n. All define the same distribution, and for a
-/// fixed seed Sample draws the same subsets in any representation: the
-/// dual sampler consumes its Rng in the exact draw order of the primal
-/// sampler (including the selection draws the primal spends on zero
-/// eigenvalues), and the factor-diag sampler walks the same full
-/// spectrum the primal walks, so swapping representations cannot
-/// re-randomize a stream.
+/// (Gartrell et al. 2016). Both representations define the same
+/// distribution, and for a fixed seed Sample draws the same subsets
+/// either way: the dual sampler consumes its Rng in the exact draw order
+/// of the primal sampler (including the selection draws the primal spends
+/// on zero eigenvalues), so swapping representations cannot re-randomize
+/// a stream.
 class Dpp {
  public:
   /// Fails on non-square/non-symmetric/indefinite kernels (round-off
@@ -52,30 +47,20 @@ class Dpp {
   /// independent.
   static Result<Dpp> CreateDual(LowRankFactor factor);
 
-  /// Builds the DPP with kernel L = W W^T + Diag(diag) from the factor
-  /// and the added diagonal, without materializing L: the full spectrum
-  /// comes from FactorDiagSpectrum and gets the same PSD clamp as
-  /// Create. O(n d) memory; spectrum time O(n^2 d^2 log(1/eps)).
-  static Result<Dpp> CreateFactorDiag(LowRankFactor factor, Vector diag);
-
   int ground_size() const {
-    return kernel_.rows() > 0 ? kernel_.rows() : factor_.ground_size();
+    return dual_ ? factor_.ground_size() : kernel_.rows();
   }
   bool is_dual() const { return dual_; }
-  bool is_factor_diag() const { return factor_diag_; }
 
-  /// Primal-mode kernel. Empty in dual/factor-diag modes (the whole
-  /// point is never materializing it); use factor() there.
+  /// Primal-mode kernel. Empty in dual mode (the whole point is never
+  /// materializing it); use factor() there.
   const Matrix& kernel() const { return kernel_; }
-  /// Dual-mode factor V / factor-diag-mode factor W. Empty (0 x 0 v())
-  /// in primal mode.
+  /// Dual-mode factor V. Empty (0 x 0 v()) in primal mode.
   const LowRankFactor& factor() const { return factor_; }
-  /// Factor-diag mode: the added diagonal D. Empty otherwise.
-  const Vector& added_diagonal() const { return fd_diag_; }
 
-  /// Primal and factor-diag modes: all n eigenvalues of L, ascending.
-  /// Dual mode: the d eigenvalues of the dual kernel C = V^T V,
-  /// ascending — L's spectrum is these plus (n - d) implicit zeros.
+  /// Primal mode: all n eigenvalues of L, ascending. Dual mode: the d
+  /// eigenvalues of the dual kernel C = V^T V, ascending — L's spectrum
+  /// is these plus (n - d) implicit zeros.
   const Vector& eigenvalues() const { return eig_.eigenvalues; }
 
   /// log det(L + I): the normalizer over all 2^m subsets.
@@ -105,15 +90,10 @@ class Dpp {
  private:
   Dpp(Matrix kernel, EigenDecomposition eig, double log_z);
   Dpp(LowRankFactor factor, EigenDecomposition dual_eig, double log_z);
-  Dpp(LowRankFactor factor, Vector fd_diag, Vector spectrum, double log_z);
-  Matrix kernel_;         // Primal mode only.
-  LowRankFactor factor_;  // Dual and factor-diag modes.
-  Vector fd_diag_;        // Factor-diag mode only: the added diagonal.
+  Matrix kernel_;       // Primal mode only.
+  LowRankFactor factor_;  // Dual mode only.
   bool dual_ = false;
-  bool factor_diag_ = false;
   // Primal: eigenpairs of L. Dual: eigenpairs of C = V^T V (d x d).
-  // Factor-diag: the full n-length spectrum of W W^T + D; eigenvectors
-  // stay empty and are materialized on demand (linalg/factor_diag.h).
   EigenDecomposition eig_;
   double log_z_;
 };

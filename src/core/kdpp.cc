@@ -9,7 +9,6 @@
 #include "common/string_util.h"
 #include "core/dpp.h"
 #include "core/esp.h"
-#include "linalg/factor_diag.h"
 #include "linalg/lu.h"
 
 namespace lkpdpp {
@@ -89,17 +88,6 @@ KDpp::KDpp(LowRankFactor factor, int k, EigenDecomposition dual_eig,
       log_zk_(log_zk),
       esp_table_(std::move(esp_table)) {}
 
-KDpp::KDpp(LowRankFactor factor, Vector fd_diag, int k, Vector spectrum,
-           double log_zk, Matrix esp_table)
-    : factor_(std::move(factor)),
-      fd_diag_(std::move(fd_diag)),
-      factor_diag_(true),
-      k_(k),
-      log_zk_(log_zk),
-      esp_table_(std::move(esp_table)) {
-  eig_.eigenvalues = std::move(spectrum);
-}
-
 Result<KDpp> KDpp::Create(Matrix kernel, int k) {
   if (kernel.rows() != kernel.cols()) {
     return Status::InvalidArgument(
@@ -156,51 +144,13 @@ Result<KDpp> KDpp::CreateDual(LowRankFactor factor, int k) {
               std::move(finish.first));
 }
 
-Result<KDpp> KDpp::CreateFactorDiag(LowRankFactor factor, Vector diag,
-                                    int k) {
-  const int m = factor.ground_size();
-  if (m < 1) {
-    return Status::InvalidArgument(
-        "factor-diag k-DPP requires a non-empty factor");
-  }
-  if (k < 1 || k > m) {
-    return Status::InvalidArgument(
-        StrFormat("k=%d outside [1, %d]", k, m));
-  }
-  if (diag.size() != m) {
-    return Status::InvalidArgument(
-        StrFormat("factor-diag k-DPP diagonal length %d != ground size %d",
-                  diag.size(), m));
-  }
-  if (!diag.AllFinite()) {
-    return Status::NumericalError(
-        "factor-diag k-DPP diagonal contains non-finite values");
-  }
-  // No rank pre-check: the added diagonal generally makes L full-rank;
-  // genuinely rank-deficient spectra (zero diagonal entries on the
-  // factor's null rows) fall out of FinishSpectrum as e_k = 0 with the
-  // identical primal wording. The clamp runs at ground size m exactly
-  // like Create, so rank detection is representation-independent.
-  LKP_ASSIGN_OR_RETURN(Vector spectrum, FactorDiagSpectrum(factor.v(), diag));
-  LKP_RETURN_IF_ERROR(ClampSpectrumToPsd(&spectrum, m));
-  LKP_ASSIGN_OR_RETURN(auto finish, FinishSpectrum(spectrum, k, m));
-  return KDpp(std::move(factor), std::move(diag), k, std::move(spectrum),
-              finish.second, std::move(finish.first));
-}
-
 Result<double> KDpp::LogProb(const std::vector<int>& subset) const {
   LKP_ASSIGN_OR_RETURN(std::vector<int> sorted,
                        ValidateSubset(subset, k_, ground_size()));
   // det(L_S) from the kernel submatrix, or from the Gram of the factor's
-  // rows (plus the added diagonal in factor-diag mode) — the same k x k
-  // matrix, assembled without materializing L.
-  Matrix sub = dual_ || factor_diag_ ? factor_.SubsetGram(sorted)
-                                     : kernel_.PrincipalSubmatrix(sorted);
-  if (factor_diag_) {
-    for (size_t i = 0; i < sorted.size(); ++i) {
-      sub(static_cast<int>(i), static_cast<int>(i)) += fd_diag_[sorted[i]];
-    }
-  }
+  // rows — the same k x k matrix, assembled without materializing L.
+  const Matrix sub = dual_ ? factor_.SubsetGram(sorted)
+                           : kernel_.PrincipalSubmatrix(sorted);
   LKP_ASSIGN_OR_RETURN(double det, Determinant(sub));
   if (det <= 0.0) {
     // PSD principal minors are >= 0; tiny negatives are round-off.
@@ -280,18 +230,6 @@ Result<std::vector<int>> KDpp::Sample(Rng* rng) const {
                                             eig_.eigenvectors, selected);
     return SampleElementaryDpp(std::move(basis), rng);
   }
-  // Factor-diag mode materializes just the k selected eigenvectors of
-  // W W^T + D (never m x m). The backward walk pushes columns in
-  // descending order; the materializer wants them ascending. Column
-  // order within the basis is immaterial to the elementary sampler.
-  if (factor_diag_) {
-    std::vector<int> ascending = selected;
-    std::sort(ascending.begin(), ascending.end());
-    LKP_ASSIGN_OR_RETURN(
-        Matrix basis, FactorDiagEigenvectors(factor_.v(), fd_diag_,
-                                             eig_.eigenvalues, ascending));
-    return SampleElementaryDpp(std::move(basis), rng);
-  }
   Matrix v(m, k_);
   for (int c = 0; c < k_; ++c) {
     v.SetCol(c, eig_.eigenvectors.Col(selected[static_cast<size_t>(c)]));
@@ -339,12 +277,6 @@ Matrix KDpp::MarginalKernel() const {
     return WeightedLiftedOuter(factor_, eig_.eigenvalues,
                                eig_.eigenvectors, w);
   }
-  if (factor_diag_) {
-    Result<Matrix> out =
-        FactorDiagWeightedOuter(factor_.v(), fd_diag_, eig_.eigenvalues, w);
-    LKP_CHECK(out.ok()) << out.status().ToString();
-    return std::move(out).ValueOrDie();
-  }
   return WeightedEigenvectorOuter(eig_.eigenvectors, w);
 }
 
@@ -354,19 +286,13 @@ Vector KDpp::MarginalDiagonal() const {
     return WeightedLiftedDiagonal(factor_, eig_.eigenvalues,
                                   eig_.eigenvectors, w);
   }
-  if (factor_diag_) {
-    Result<Vector> out = FactorDiagWeightedDiagonal(factor_.v(), fd_diag_,
-                                                    eig_.eigenvalues, w);
-    LKP_CHECK(out.ok()) << out.status().ToString();
-    return std::move(out).ValueOrDie();
-  }
   return WeightedEigenvectorDiagonal(eig_.eigenvectors, w);
 }
 
 Matrix KDpp::NormalizerGradient() const {
-  LKP_CHECK(!dual_ && !factor_diag_)
-      << "NormalizerGradient is primal-only: d Z_k / d L needs the full "
-         "eigenvector set, which the factored representations never hold";
+  LKP_CHECK(!dual_)
+      << "NormalizerGradient is primal-only: d Z_k / d L has components "
+         "along null-space eigenvectors the dual factor cannot represent";
   const int m = ground_size();
   const Vector log_excl = LogExclusionEsp(eig_.eigenvalues, k_ - 1);
   Vector w(m);
@@ -375,10 +301,10 @@ Matrix KDpp::NormalizerGradient() const {
 }
 
 Matrix KDpp::LogNormalizerGradient() const {
-  LKP_CHECK(!dual_ && !factor_diag_)
-      << "LogNormalizerGradient is primal-only: d log Z_k / d L needs "
-         "the full eigenvector set, which the factored representations "
-         "never hold";
+  LKP_CHECK(!dual_)
+      << "LogNormalizerGradient is primal-only: d log Z_k / d L has "
+         "components along null-space eigenvectors the dual factor "
+         "cannot represent";
   const int m = ground_size();
   // exp(log e_{k-1}(lambda \ c) - log Z_k) directly, instead of scaling
   // NormalizerGradient by exp(-log Z_k): the unnormalized gradient can

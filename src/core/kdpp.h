@@ -25,21 +25,15 @@ namespace lkpdpp {
 
 /// An exact k-DPP over a ground set {0, .., m-1} with PSD kernel L.
 ///
-/// Three representations share this type. The primal one (Create)
+/// Two representations share this type. The primal one (Create)
 /// eigendecomposes the m x m kernel. The dual one (CreateDual) takes a
 /// rank-d factor V with L = V V^T and works entirely through the d x d
 /// dual kernel C = V^T V (Gartrell et al. 2016): construction costs
 /// O(m d^2 + d^3) instead of O(m^3), each Sample costs O(m d k), and the
-/// m x m kernel is never materialized. The factor-diag one
-/// (CreateFactorDiag) takes L = W W^T + Diag(diag) — the blended
-/// serving kernel after quality conditioning — computes the full
-/// m-length spectrum by inertia bisection (linalg/factor_diag.h), and
-/// materializes only the k eigenvectors each draw selects; memory stays
-/// O(m d), still never m x m. All define the same distribution; the
-/// dual sampler consumes its Rng in the exact draw order of the primal
-/// sampler, and the factor-diag sampler walks the same full spectrum the
-/// primal walks, so a fixed seed yields the same subset stream in any
-/// representation.
+/// m x m kernel is never materialized. Both define the same distribution;
+/// the dual sampler consumes its Rng in the exact draw order of the
+/// primal sampler, so a fixed seed yields the same subset stream in
+/// either representation.
 class KDpp {
  public:
   /// Builds the distribution. Fails if the kernel is not square/symmetric,
@@ -56,39 +50,23 @@ class KDpp {
   /// independent), rank >= k, ESP-table overflow rejection.
   static Result<KDpp> CreateDual(LowRankFactor factor, int k);
 
-  /// Builds the k-DPP with kernel L = W W^T + Diag(diag) from the factor
-  /// and the added diagonal, without materializing L. Applies the same
-  /// spectrum checks as Create — PSD clamp at primal ground size, then
-  /// the shared ESP finishing, so rank-deficiency (e_k = 0) and ESP
-  /// overflow are rejected with the identical primal wording.
-  static Result<KDpp> CreateFactorDiag(LowRankFactor factor, Vector diag,
-                                       int k);
-
   int k() const { return k_; }
   int ground_size() const {
-    return kernel_.rows() > 0 ? kernel_.rows() : factor_.ground_size();
+    return dual_ ? factor_.ground_size() : kernel_.rows();
   }
   bool is_dual() const { return dual_; }
-  bool is_factor_diag() const { return factor_diag_; }
 
-  /// Primal-mode kernel. Empty in dual/factor-diag modes; use factor()
-  /// there.
+  /// Primal-mode kernel. Empty in dual mode; use factor() there.
   const Matrix& kernel() const { return kernel_; }
-  /// Dual-mode factor V / factor-diag-mode factor W. Empty (0 x 0 v())
-  /// in primal mode.
+  /// Dual-mode factor V. Empty (0 x 0 v()) in primal mode.
   const LowRankFactor& factor() const { return factor_; }
-  /// Factor-diag mode: the added diagonal D. Empty otherwise.
-  const Vector& added_diagonal() const { return fd_diag_; }
 
-  /// Primal and factor-diag modes: all m eigenvalues of L, ascending.
-  /// Dual mode: the d eigenvalues of C = V^T V, ascending — L's spectrum
-  /// is these plus (m - d) implicit zeros, which no ESP or sampler ever
-  /// needs.
+  /// Primal mode: all m eigenvalues of L, ascending. Dual mode: the d
+  /// eigenvalues of C = V^T V, ascending — L's spectrum is these plus
+  /// (m - d) implicit zeros, which no ESP or sampler ever needs.
   const Vector& eigenvalues() const { return eig_.eigenvalues; }
   /// Primal mode: eigenvectors of L. Dual mode: eigenvectors of C (d x d
   /// dual vectors; lift via factor().LiftEigenvectors to reach L-space).
-  /// Factor-diag mode: empty — eigenvectors are materialized on demand
-  /// (linalg/factor_diag.h), never stored.
   const Matrix& eigenvectors() const { return eig_.eigenvectors; }
 
   /// log Z_k = log e_k(lambda).
@@ -149,17 +127,13 @@ class KDpp {
        Matrix esp_table);
   KDpp(LowRankFactor factor, int k, EigenDecomposition dual_eig,
        double log_zk, Matrix esp_table);
-  KDpp(LowRankFactor factor, Vector fd_diag, int k, Vector spectrum,
-       double log_zk, Matrix esp_table);
 
   /// Per-spectrum-column marginal weight lambda_c e_{k-1}(lambda \ c)/Z_k.
   Vector MarginalWeights() const;
 
   Matrix kernel_;         // Primal mode only.
-  LowRankFactor factor_;  // Dual and factor-diag modes.
-  Vector fd_diag_;        // Factor-diag mode only: the added diagonal.
+  LowRankFactor factor_;  // Dual mode only.
   bool dual_ = false;
-  bool factor_diag_ = false;
   int k_;
   // Primal: eigenpairs of L. Dual: eigenpairs of C = V^T V (d x d).
   EigenDecomposition eig_;

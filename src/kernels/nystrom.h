@@ -1,12 +1,13 @@
 // Nystrom-style low-rank approximation via deterministic pivoted Cholesky.
 //
 // Serving with a trainable Gaussian kernel (the paper's PSE/NPSE "E"
-// variants) has no pre-learned factor V to hand the dual or factor-diag
-// samplers: the kernel exists only as entries K_ij = k(e_i, e_j). This
-// module builds an explicit rank-r factor F with K ~= F F^T by greedy
-// pivoted Cholesky — the classic Nystrom landmark scheme where landmarks
-// are chosen one at a time to maximize the residual diagonal — and
-// reports *computed, not asymptotic* error bounds:
+// variants) has no pre-learned factor V to hand the thin serving paths
+// (dual sampling, factor-backed MAP): the kernel exists only as entries
+// K_ij = k(e_i, e_j). This module builds an explicit rank-r factor F
+// with K ~= F F^T by greedy pivoted Cholesky — the classic Nystrom
+// landmark scheme where landmarks are chosen one at a time to maximize
+// the residual diagonal — and reports *computed, not asymptotic* error
+// bounds:
 //
 //   trace(K - F F^T)  =  sum of the residual diagonal after r pivots
 //   |K_ij - (F F^T)_ij|  <=  sqrt(r_i r_j)  <=  max_i r_i

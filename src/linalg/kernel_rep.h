@@ -36,14 +36,10 @@
 // lets serving pin "factor-path greedy MAP selects the same set as the
 // forced-primal oracle" as an exact equality, not a tolerance.
 //
-// Scope: KernelRep serves ENTRY-driven algorithms (greedy MAP). The
-// sampling side of the same blended kernel does not go through this
-// interface — it needs the spectrum, which Dpp/KDpp::CreateFactorDiag
-// obtain exactly from the identical W·Wᵀ + D split via
-// linalg/factor_diag.h (W = √α·Diag(s)·V, D = δ·Diag(s²)). The two
-// paths share the decomposition but not the code: a KernelRep never
-// computes eigenvalues, and the factor-diag sampler never synthesizes
-// full rows.
+// Scope: KernelRep serves ENTRY-driven algorithms (greedy MAP). Sampling
+// needs the spectrum, which no KernelRep computes: sampling-mode serving
+// builds a primal KDpp for blended kernels and a dual one (low_rank.h)
+// only at α == 1, where the kernel is a pure factor.
 //
 // Thread safety: reps are immutable after construction; concurrent
 // FillRow/FillDiag/Entry calls are safe.

@@ -25,25 +25,18 @@
 // the d-eigenvalue dual ESP tables exact (zero eigenvalues contribute
 // nothing) no longer applies, and after the outer Diag(q) scaling the
 // shift is not even spectral (Diag(q)(α·V·Vᵀ + δ·I)Diag(q) =
-// α·(Diag(q)V)(Diag(q)V)ᵀ + δ·Diag(q²), a NON-scalar diagonal). The
-// d x d Gram trick therefore cannot eigendecompose a blended kernel —
-// but the blend is still exactly W·Wᵀ + D with W = √α·Diag(q)·V and
-// D = (1-α)·Diag(q²), and that shape has its own exact solver:
-// linalg/factor_diag.h recovers the FULL n-length spectrum (and any
-// requested eigenvectors) of a rank-d update of a diagonal matrix by
-// inertia bisection on the d x d capacitance, O(n²d²·log(1/ε)) time and
-// O(n·d) memory — never materializing the n x n kernel. Two exact
-// factored paths follow:
-//   * MAP rerank reads kernel ENTRIES only —
-//       L(i,j) = q_i·(α·<v_i, v_j> + δ·1[i=j])·q_j
-//     at O(d) each via RowDot/RowDots below; kernel_rep.h's
-//     FactorDiagKernelRep serves that without any eigensolve.
-//   * Sampling needs the spectrum: Dpp/KDpp::CreateFactorDiag run the
-//     ESP walk over the factor_diag.h spectrum and lift elementary-DPP
-//     bases on demand, so blended 0 < α < 1 sampling is exact and
-//     draw-for-draw identical to the primal build (it walks the same
-//     full spectrum) while staying O(n·d) in memory.
-// The α == 1 case keeps the cheaper d-eigenvalue dual route above.
+// α·(Diag(q)V)(Diag(q)V)ᵀ + δ·Diag(q²), a NON-scalar diagonal). Exact
+// dual *eigendecomposition* of a blended kernel therefore stays out of
+// reach of the d x d Gram trick; what IS computable from the thin
+// factor alone is every kernel ENTRY —
+//   L(i,j) = q_i·(α·<v_i, v_j> + δ·1[i=j])·q_j
+// at O(d) each via RowDot/RowDots below. That is all greedy MAP
+// inference reads, which is why linalg/kernel_rep.h's
+// FactorDiagKernelRep serves blended kernels thin in MAP mode. Blended
+// sampling materializes the kernel and eigendecomposes it primally: an
+// exact W·Wᵀ + D eigensolver (inertia bisection on the d x d
+// capacitance) measured slower than the O(n³) primal build at every
+// serving shape, so only α == 1 sampling takes the dual route above.
 
 #ifndef LKPDPP_LINALG_LOW_RANK_H_
 #define LKPDPP_LINALG_LOW_RANK_H_

@@ -57,6 +57,8 @@
 
 namespace lkpdpp {
 
+enum class ServePath;  // Defined in serve/service.h.
+
 /// Everything reusable about one (user, ground set) pair.
 struct ServedKernel {
   /// The exact ground set this kernel was built for. Consumers compare
@@ -73,15 +75,16 @@ struct ServedKernel {
   std::shared_ptr<const KernelRep> rep;
   /// Decomposed k-DPP over the conditioned kernel (sampling mode only;
   /// null for MAP rerank, which needs no eigendecomposition). May be a
-  /// primal k-DPP (n x n kernel + eigendecomposition), a low-rank dual
-  /// one (factor + d x d dual eigendecomposition, kdpp->is_dual(),
-  /// alpha == 1 only), or a factor-plus-diagonal one (W W^T + D with the
-  /// full n-length spectrum from the rank-d diagonal-update solver,
-  /// kdpp->is_factor_diag(), the default for blended 0 < alpha < 1
-  /// pools) — the cache is representation-agnostic, and one service's
-  /// cache can hold a mix when pool sizes straddle the factor rank.
-  /// All three kinds ride the same versioned invalidation below.
+  /// primal k-DPP (n x n kernel + eigendecomposition) or, at alpha == 1
+  /// only, a low-rank dual one (factor + d x d dual eigendecomposition,
+  /// kdpp->is_dual()) — the cache is representation-agnostic, and one
+  /// service's cache can hold a mix when pool sizes straddle the factor
+  /// rank. Both kinds ride the same versioned invalidation below.
   std::shared_ptr<const KDpp> kdpp;
+  /// The serve path whose builder produced this entry, after the
+  /// approximate-source budget gate. Value-initialized to
+  /// ServePath::kPrimal.
+  ServePath path{};
   /// The model_version epoch the kernel was computed under (stamped by
   /// the service's builder). Targeted invalidation keeps entries from
   /// ever being SERVED stale, so a surviving entry's stamp only says how

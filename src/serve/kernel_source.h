@@ -10,8 +10,8 @@
 //   PoolSubmatrix  — exact K_S entries for a candidate pool (the primal
 //                    build path and the differential oracle), and
 //   PoolFactor     — a pool-local factor F with K_S ~= F F^T plus a
-//                    COMPUTED entry-error bound, feeding the dual /
-//                    factor-diag thin paths.
+//                    COMPUTED entry-error bound, feeding the thin
+//                    paths (dual sampling, factor-backed MAP).
 //
 // DiversityKernelSource is exact (bound 0, factor rows straight off the
 // trained factor). GaussianKernelSource is approximate: it builds a

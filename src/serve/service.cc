@@ -20,24 +20,9 @@ namespace {
 
 // Process-wide serving metrics. Handles are resolved once per site; the
 // hot-path cost is one sharded-atomic increment (see obs/metrics.h).
-obs::Counter* DualPathTotal() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_dual_path_total");
-  return counter;
-}
-obs::Counter* PrimalPathTotal() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_primal_path_total");
-  return counter;
-}
 obs::Counter* EigSkippedTotal() {
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
       "lkp_kernel_cache_eig_skipped_total");
-  return counter;
-}
-obs::Counter* DiagPathTotal() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_diag_path_total");
   return counter;
 }
 obs::Gauge* ModelVersionGauge() {
@@ -68,9 +53,9 @@ obs::Counter* ServeNumericalErrors() {
   return counter;
 }
 // Per-path build counters: exactly one of these increments per kernel
-// build, keyed by the representation that actually got built. The legacy
-// lkp_serve_{dual,primal,diag}_path_total counters stay for dashboard
-// continuity but attribute more coarsely.
+// build, keyed by the representation that actually got built. The
+// retired factor_diag_sample series stays registered (at zero) so
+// dashboards keyed on the full label set keep resolving.
 obs::Counter* PathTotal(ServePath path) {
   static obs::Counter* primal = obs::MetricsRegistry::Global().GetCounter(
       "lkp_serve_path_total{path=\"primal\"}");
@@ -298,6 +283,92 @@ int RecommendationService::StageGrain(int n) const {
   return pool_->GrainFor(n);
 }
 
+ServePath ChooseServePath(const ServeConfig& config, int pool_size,
+                          int thin_rank) {
+  if (config.force_primal) return ServePath::kPrimal;
+  const bool thin = thin_rank > 0 && thin_rank < pool_size;
+  switch (config.mode) {
+    case ServeMode::kMapRerank:
+      if (config.kernel_blend_alpha == 0.0) return ServePath::kDiagMap;
+      return thin ? ServePath::kFactorMap : ServePath::kPrimal;
+    case ServeMode::kSample:
+      return config.kernel_blend_alpha == 1.0 && thin ? ServePath::kDualSample
+                                                     : ServePath::kPrimal;
+  }
+  return ServePath::kPrimal;
+}
+
+namespace {
+
+// One builder per serve path. Each serves the conditioned kernel
+// L = Diag(q)(alpha K_S + (1 - alpha) I)Diag(q) over the pool, exactly,
+// given the pool's quality vector q.
+
+// kDiagMap: at alpha == 0 the blend is Diag(q)(delta I)Diag(q), pure
+// diagonal, so neither the factor rows nor the materialized submatrix is
+// worth building. O(pool) memory, bit-identical selections vs both (see
+// DiagKernelRep).
+Result<std::shared_ptr<const KernelRep>> BuildDiagMap(const Vector& quality,
+                                                      double alpha) {
+  LKP_TRACE_SPAN("serve.diag_rep_build");
+  LKP_ASSIGN_OR_RETURN(DiagKernelRep rep,
+                       DiagKernelRep::Create(quality, 1.0 - alpha));
+  return std::shared_ptr<const KernelRep>(
+      std::make_shared<const DiagKernelRep>(std::move(rep)));
+}
+
+// kFactorMap: greedy MAP only reads entries, so the blended kernel rides
+// as factor + diagonal — O(pool * rank) to build and store versus
+// O(pool^2 * rank) to materialize.
+Result<std::shared_ptr<const KernelRep>> BuildFactorMap(Matrix factor_rows,
+                                                        const Vector& quality,
+                                                        double alpha) {
+  LKP_TRACE_SPAN("serve.factor_rep_build");
+  LKP_ASSIGN_OR_RETURN(FactorDiagKernelRep rep,
+                       FactorDiagKernelRep::Create(std::move(factor_rows),
+                                                   quality, alpha,
+                                                   1.0 - alpha));
+  return std::shared_ptr<const KernelRep>(
+      std::make_shared<const FactorDiagKernelRep>(std::move(rep)));
+}
+
+// kDualSample: at alpha == 1 the kernel is exactly Diag(q) F F^T Diag(q),
+// so condition in factor space (ScaleRows) and build the dual k-DPP —
+// O(n d^2) instead of O(n^3), no n x n materialization.
+Result<std::shared_ptr<const KDpp>> BuildDualSample(Matrix factor_rows,
+                                                    const Vector& quality,
+                                                    int k) {
+  LKP_TRACE_SPAN("serve.dual_build");
+  LKP_ASSIGN_OR_RETURN(LowRankFactor factor,
+                       LowRankFactor::Create(std::move(factor_rows)));
+  LKP_ASSIGN_OR_RETURN(KDpp kdpp,
+                       KDpp::CreateDual(factor.ScaleRows(quality), k));
+  return std::make_shared<const KDpp>(std::move(kdpp));
+}
+
+// kPrimal, both halves: materialize L, then either eigendecompose it
+// (sampling) or hold it as-is (MAP entries never decompose).
+Matrix AssemblePrimal(const ServingKernelSource& source,
+                      const std::vector<int>& pool, const Vector& quality,
+                      double alpha) {
+  LKP_TRACE_SPAN("serve.kernel_assemble");
+  Matrix k_sub = source.PoolSubmatrix(pool);
+  k_sub *= alpha;
+  k_sub.AddDiagonal(1.0 - alpha);
+  return AssembleKernel(quality, k_sub);
+}
+
+Result<std::shared_ptr<const KDpp>> BuildPrimalSample(Matrix conditioned,
+                                                      int k) {
+  LKP_TRACE_SPAN("serve.eigendecomp");
+  // KDpp keeps its own copy of the kernel, so hand ours over rather than
+  // storing it twice per cache entry.
+  LKP_ASSIGN_OR_RETURN(KDpp kdpp, KDpp::Create(std::move(conditioned), k));
+  return std::make_shared<const KDpp>(std::move(kdpp));
+}
+
+}  // namespace
+
 Result<RecommendationService::UserWork> RecommendationService::PrepareUser(
     int user, const Vector& scores) {
   LKP_TRACE_SPAN("serve.prepare_user");
@@ -309,128 +380,72 @@ Result<RecommendationService::UserWork> RecommendationService::PrepareUser(
     work.kernel_ms = timer.ElapsedMillis();
     return work;  // Fully saturated user: nothing left to recommend.
   }
-  const int effective_k =
-      std::min(config_.top_k, static_cast<int>(work.pool.size()));
+  const int pool_size = static_cast<int>(work.pool.size());
+  const int effective_k = std::min(config_.top_k, pool_size);
 
   const uint64_t hash = HashGroundSet(work.pool);
   // The expensive build, run by the cache with no shard lock held and at
   // most once per key even under concurrent misses (in-flight guard).
   auto build = [&]() -> Result<std::shared_ptr<const ServedKernel>> {
-    Vector pool_scores(static_cast<int>(work.pool.size()));
-    for (size_t i = 0; i < work.pool.size(); ++i) {
-      pool_scores[static_cast<int>(i)] = scores[work.pool[i]];
+    Vector pool_scores(pool_size);
+    for (int i = 0; i < pool_size; ++i) {
+      pool_scores[i] = scores[work.pool[static_cast<size_t>(i)]];
     }
     const Vector quality = ApplyQuality(pool_scores, config_.quality);
+    const double alpha = config_.kernel_blend_alpha;
 
     auto built = std::make_shared<ServedKernel>();
     built->items = work.pool;
     built->model_version = model_version();
-    const double alpha = config_.kernel_blend_alpha;
-    if (config_.mode == ServeMode::kMapRerank && !config_.force_primal &&
-        alpha == 0.0) {
-      // alpha == 0 degenerates the blend to Diag(q)·(delta·I)·Diag(q):
-      // pure diagonal, so neither the factor rows nor the materialized
-      // submatrix is worth building. O(pool) memory, bit-identical
-      // selections vs both (see DiagKernelRep).
-      LKP_TRACE_SPAN("serve.diag_rep_build");
-      EigSkippedTotal()->Inc();
-      DiagPathTotal()->Inc();
-      PathTotal(ServePath::kDiagMap)->Inc();
-      LKP_ASSIGN_OR_RETURN(DiagKernelRep rep,
-                           DiagKernelRep::Create(quality, 1.0 - alpha));
-      built->rep = std::make_shared<const DiagKernelRep>(std::move(rep));
-      return std::shared_ptr<const ServedKernel>(std::move(built));
-    }
-    // Thin factor paths. Approximate sources pass a per-pool gate: use
-    // the factor only when its computed entry-error bound fits the
-    // opted-in budget, else fall through to the exact primal build.
-    const bool thin_wanted =
-        config_.mode == ServeMode::kSample
-            ? IsDualEligible(work.pool)
-            : UseFactorRep(work.pool);
-    if (thin_wanted) {
-      LKP_ASSIGN_OR_RETURN(ServingKernelSource::ThinFactor thin,
-                           source_->PoolFactor(work.pool));
-      if (source_->exact() ||
-          thin.entry_error_bound <= config_.approx_error_budget) {
-        if (config_.mode == ServeMode::kSample && alpha == 1.0) {
-          // The conditioned kernel is exactly Diag(q) K_S Diag(q) with
-          // K_S = F_S F_S^T, so condition in factor space (ScaleRows)
-          // and build the dual k-DPP — O(n d^2) instead of O(n^3), no
-          // n x n materialization.
-          LKP_TRACE_SPAN("serve.dual_build");
-          DualPathTotal()->Inc();
-          PathTotal(ServePath::kDualSample)->Inc();
-          LKP_ASSIGN_OR_RETURN(LowRankFactor factor,
-                               LowRankFactor::Create(std::move(thin.rows)));
-          LKP_ASSIGN_OR_RETURN(
-              KDpp kdpp,
-              KDpp::CreateDual(factor.ScaleRows(quality), effective_k));
-          built->kdpp = std::make_shared<const KDpp>(std::move(kdpp));
-        } else if (config_.mode == ServeMode::kSample) {
-          // 0 < alpha < 1: the conditioned kernel is
-          //   Diag(q)(alpha K_S + (1-alpha) I)Diag(q) = W W^T + D,
-          //   W = sqrt(alpha) Diag(q) F_S,  D = (1-alpha) Diag(q^2).
-          // The factor-diag k-DPP computes the exact full spectrum from
-          // that shape (linalg/factor_diag.h) — never pool x pool.
-          LKP_TRACE_SPAN("serve.factor_diag_build");
-          PathTotal(ServePath::kFactorDiagSample)->Inc();
-          const int n = static_cast<int>(work.pool.size());
-          const double sqrt_alpha = std::sqrt(alpha);
-          Vector w_scale(n);
-          Vector added(n);
-          for (int i = 0; i < n; ++i) {
-            w_scale[i] = sqrt_alpha * quality[i];
-            added[i] = (1.0 - alpha) * quality[i] * quality[i];
-          }
-          LKP_ASSIGN_OR_RETURN(LowRankFactor factor,
-                               LowRankFactor::Create(std::move(thin.rows)));
-          LKP_ASSIGN_OR_RETURN(
-              KDpp kdpp,
-              KDpp::CreateFactorDiag(factor.ScaleRows(w_scale),
-                                     std::move(added), effective_k));
-          built->kdpp = std::make_shared<const KDpp>(std::move(kdpp));
-        } else {
-          // Greedy MAP only reads entries, so the blended conditioned
-          // kernel rides as factor + diagonal — O(pool * rank) to build
-          // and store versus O(pool^2 * rank) to materialize, and no
-          // eigendecomposition either way (MAP entries never decompose).
-          LKP_TRACE_SPAN("serve.factor_rep_build");
-          EigSkippedTotal()->Inc();
-          PathTotal(ServePath::kFactorMap)->Inc();
-          LKP_ASSIGN_OR_RETURN(
-              FactorDiagKernelRep rep,
-              FactorDiagKernelRep::Create(std::move(thin.rows), quality,
-                                          alpha, 1.0 - alpha));
-          built->rep =
-              std::make_shared<const FactorDiagKernelRep>(std::move(rep));
-        }
-        return std::shared_ptr<const ServedKernel>(std::move(built));
+    built->path =
+        ChooseServePath(config_, pool_size, source_->ThinRank(pool_size));
+    // Approximate sources pass a per-pool gate: a thin path uses the
+    // factor only when its computed entry-error bound fits the opted-in
+    // budget, else the pool is demoted to the exact primal build.
+    ServingKernelSource::ThinFactor thin;
+    if (built->path == ServePath::kFactorMap ||
+        built->path == ServePath::kDualSample) {
+      LKP_ASSIGN_OR_RETURN(thin, source_->PoolFactor(work.pool));
+      if (!source_->exact() &&
+          !(thin.entry_error_bound <= config_.approx_error_budget)) {
+        ApproxFallbackTotal()->Inc();
+        built->path = ServePath::kPrimal;
       }
-      ApproxFallbackTotal()->Inc();
     }
-    Matrix conditioned;
-    {
-      LKP_TRACE_SPAN("serve.kernel_assemble");
-      Matrix k_sub = source_->PoolSubmatrix(work.pool);
-      k_sub *= alpha;
-      k_sub.AddDiagonal(1.0 - alpha);
-      conditioned = AssembleKernel(quality, k_sub);
-    }
-    PathTotal(ServePath::kPrimal)->Inc();
-    if (config_.mode == ServeMode::kSample) {
-      LKP_TRACE_SPAN("serve.eigendecomp");
-      PrimalPathTotal()->Inc();
-      // KDpp keeps its own copy of the kernel, so hand ours over rather
-      // than storing it twice per cache entry.
-      LKP_ASSIGN_OR_RETURN(
-          KDpp kdpp, KDpp::Create(std::move(conditioned), effective_k));
-      built->kdpp = std::make_shared<const KDpp>(std::move(kdpp));
-    } else {
-      EigSkippedTotal()->Inc();
-      PrimalPathTotal()->Inc();
-      built->rep = std::make_shared<const PrimalKernelRep>(
-          std::move(conditioned));
+    PathTotal(built->path)->Inc();
+    if (config_.mode == ServeMode::kMapRerank) EigSkippedTotal()->Inc();
+
+    switch (built->path) {
+      case ServePath::kDiagMap: {
+        LKP_ASSIGN_OR_RETURN(built->rep, BuildDiagMap(quality, alpha));
+        break;
+      }
+      case ServePath::kFactorMap: {
+        LKP_ASSIGN_OR_RETURN(
+            built->rep, BuildFactorMap(std::move(thin.rows), quality, alpha));
+        break;
+      }
+      case ServePath::kDualSample: {
+        LKP_ASSIGN_OR_RETURN(
+            built->kdpp,
+            BuildDualSample(std::move(thin.rows), quality, effective_k));
+        break;
+      }
+      case ServePath::kPrimal: {
+        Matrix conditioned =
+            AssemblePrimal(*source_, work.pool, quality, alpha);
+        if (config_.mode == ServeMode::kSample) {
+          LKP_ASSIGN_OR_RETURN(
+              built->kdpp,
+              BuildPrimalSample(std::move(conditioned), effective_k));
+        } else {
+          built->rep = std::make_shared<const PrimalKernelRep>(
+              std::move(conditioned));
+        }
+        break;
+      }
+      case ServePath::kFactorDiagSample:
+        return Status::Internal("serve path factor_diag_sample is retired");
     }
     return std::shared_ptr<const ServedKernel>(std::move(built));
   };
@@ -439,31 +454,6 @@ Result<RecommendationService::UserWork> RecommendationService::PrepareUser(
       cache_.GetOrBuild(user, hash, work.pool, build, &work.cache_hit));
   work.kernel_ms = timer.ElapsedMillis();
   return work;
-}
-
-bool RecommendationService::IsDualEligible(
-    const std::vector<int>& pool) const {
-  // Thin sampling needs a factor thinner than the pool and a nonzero
-  // diversity blend: alpha == 1 serves through the low-rank dual,
-  // 0 < alpha < 1 through the exact factor-plus-diagonal spectrum
-  // (linalg/factor_diag.h) — the full-rank diagonal the blend adds is no
-  // longer a blocker. alpha == 0 stays primal: the kernel degenerates to
-  // a diagonal and the primal build is already trivial there.
-  const int rank = source_->ThinRank(static_cast<int>(pool.size()));
-  return !config_.force_primal && config_.kernel_blend_alpha > 0.0 &&
-         rank > 0 && rank < static_cast<int>(pool.size());
-}
-
-bool RecommendationService::UseFactorRep(const std::vector<int>& pool) const {
-  // MAP rerank reads kernel ENTRIES only, and every entry of the blended
-  // conditioned kernel is computable from the thin factor plus the blend
-  // scalars (FactorDiagKernelRep) — so unlike the sampling paths, any
-  // alpha qualifies. The factor rep wins whenever it is thinner than
-  // the pool: greedy then costs O(k n d + k^2 n) instead of the
-  // O(n^2 d) materialization alone.
-  const int rank = source_->ThinRank(static_cast<int>(pool.size()));
-  return !config_.force_primal && rank > 0 &&
-         rank < static_cast<int>(pool.size());
 }
 
 Result<RecResponse> RecommendationService::SelectTopK(int user,
@@ -477,32 +467,7 @@ Result<RecResponse> RecommendationService::SelectTopK(int user,
     response.latency_ms = work.kernel_ms;
     return response;
   }
-  // Attribute the request to the representation that actually served it.
-  // (The old derivation lumped factor-backed MAP in with dual sampling;
-  // the enum keeps every path distinct, and dual_path stays as the
-  // coarse thin-vs-materialized bool.)
-  if (work.entry->kdpp != nullptr) {
-    response.path = work.entry->kdpp->is_dual()
-                        ? ServePath::kDualSample
-                        : work.entry->kdpp->is_factor_diag()
-                              ? ServePath::kFactorDiagSample
-                              : ServePath::kPrimal;
-  } else if (work.entry->rep != nullptr) {
-    switch (work.entry->rep->kind()) {
-      case KernelRepKind::kFactorDiag:
-        response.path = ServePath::kFactorMap;
-        break;
-      case KernelRepKind::kDiag:
-        response.path = ServePath::kDiagMap;
-        break;
-      case KernelRepKind::kPrimal:
-        response.path = ServePath::kPrimal;
-        break;
-    }
-  }
-  response.dual_path = response.path == ServePath::kDualSample ||
-                       response.path == ServePath::kFactorDiagSample ||
-                       response.path == ServePath::kFactorMap;
+  response.path = work.entry->path;
   const int effective_k =
       std::min(config_.top_k, static_cast<int>(work.pool.size()));
 

@@ -21,24 +21,21 @@
 //      hash) in a lock-striped sharded LRU; the O(n^3) build runs with
 //      no cache lock held, and a per-key in-flight guard makes
 //      concurrent misses on one key compute once (the rest wait and
-//      share). When the kernel source advertises a thin factor with rank
-//      below the pool size, sampling-mode entries skip the O(n^3)
-//      materialization: at kernel_blend_alpha == 1 through the low-rank
-//      dual path (O(pool * rank^2) conditioning in factor space), and at
-//      any 0 < alpha < 1 through the exact factor-plus-diagonal path —
-//      the blended conditioned kernel is W W^T + D with
-//      W = sqrt(alpha) Diag(q) V and D = (1-alpha) Diag(q^2), whose full
-//      spectrum comes from inertia bisection (linalg/factor_diag.h) at
-//      O(pool * rank) memory, never pool x pool (set force_primal to
-//      disable for cross-checks). MAP-rerank entries
-//      never eigendecompose at all, and hold a KernelRep chosen by cost
-//      model: a FactorDiagKernelRep (pool factor rows + blend scalars,
-//      O(pool * rank) memory, greedy reads rows at O(pool * rank)) when
-//      the factor is thinner than the pool — for ANY blend alpha, since
-//      greedy MAP only reads entries and the identity blend rides as a
-//      diagonal beside the factor — or a materialized PrimalKernelRep
-//      otherwise. Both reps produce bit-identical entries, so the
-//      selected sets are bit-identical too (see linalg/kernel_rep.h).
+//      share). Which representation a miss builds is decided once, by
+//      ChooseServePath below. Sampling-mode entries skip the O(n^3)
+//      materialization only at kernel_blend_alpha == 1 with a thin factor
+//      below the pool size, through the low-rank dual path
+//      (O(pool * rank^2) conditioning in factor space); blended
+//      0 < alpha < 1 sampling builds primally, which is the fastest exact
+//      build at serving pool sizes. MAP-rerank entries never
+//      eigendecompose at all, and hold a KernelRep: a DiagKernelRep at
+//      alpha == 0, a FactorDiagKernelRep (pool factor rows + blend
+//      scalars, O(pool * rank) memory, greedy reads rows at
+//      O(pool * rank)) when the factor is thinner than the pool — for ANY
+//      blend alpha, since greedy MAP only reads entries and the identity
+//      blend rides as a diagonal beside the factor — or a materialized
+//      PrimalKernelRep otherwise. All reps produce bit-identical
+//      selections (see linalg/kernel_rep.h).
 //   4. ThreadPool — per-request work fans out over the work-stealing
 //      pool with grain-size chunking so tiny per-request tasks do not
 //      pay one dispatch each; per-request Rng streams are forked in
@@ -98,11 +95,13 @@ const char* ServeModeName(ServeMode mode);
 /// representations (everything except kPrimal) never materialize the
 /// pool x pool kernel; all are exact except that approximate sources
 /// (GaussianKernelSource) may back the factor paths within the
-/// configured error budget.
+/// configured error budget. The numbering and ServePathName's names are
+/// a stable external contract (metric labels, benchmark reports).
 enum class ServePath {
   kPrimal,            ///< Materialized conditioned kernel.
   kDualSample,        ///< Low-rank dual k-DPP (sampling, alpha == 1).
-  kFactorDiagSample,  ///< Factor+diagonal k-DPP (sampling, 0 < alpha < 1).
+  kFactorDiagSample,  ///< Retired: never produced. Keeps its slot and name
+                      ///< so the numbering of the paths after it holds.
   kFactorMap,         ///< FactorDiagKernelRep greedy MAP.
   kDiagMap,           ///< DiagKernelRep greedy MAP (alpha == 0).
 };
@@ -149,11 +148,12 @@ struct ServeConfig {
   /// lkp_serve_approx_fallback_total).
   double approx_error_budget = 1e-6;
   /// Disables every thin-representation path: sampling-mode kernels are
-  /// materialized and eigendecomposed primally even when they advertise
-  /// a factor, and MAP-rerank kernels are materialized instead of held
-  /// as FactorDiagKernelRep. Both thin paths are exact (same
-  /// distribution / bit-identical MAP selections), so this exists for
-  /// cross-checking and debugging, not correctness.
+  /// materialized and eigendecomposed primally even at alpha == 1 with a
+  /// thin factor, and MAP-rerank kernels are materialized instead of
+  /// held as a DiagKernelRep or FactorDiagKernelRep. The thin paths are
+  /// exact (same sample streams / bit-identical MAP selections), so this
+  /// is the differential oracle for tests and debugging, not a
+  /// correctness switch.
   bool force_primal = false;
   /// Test-only hook: when set, the batcher thread calls it right after
   /// taking a batch off the admission queue (admission lock released,
@@ -162,6 +162,24 @@ struct ServeConfig {
   /// production.
   std::function<void(int batch_size)> on_batch_for_test;
 };
+
+/// The one serve-path decision: which representation a kernel build for
+/// a pool of `pool_size` items uses, given that the kernel source offers
+/// a thin factor of rank `thin_rank` (<= 0: none). Pure.
+///   force_primal                          -> kPrimal
+///   MAP rerank:  alpha == 0               -> kDiagMap
+///                0 < thin_rank < pool     -> kFactorMap
+///                otherwise                -> kPrimal
+///   sampling:    alpha == 1 and
+///                0 < thin_rank < pool     -> kDualSample
+///                otherwise                -> kPrimal
+/// Blended 0 < alpha < 1 sampling is primal: the identity blend rules
+/// out the dual, and at serving pool sizes the primal build is the
+/// fastest exact one. At build time an approximate source's factor may
+/// still demote a thin choice to kPrimal when its error bound exceeds
+/// approx_error_budget.
+ServePath ChooseServePath(const ServeConfig& config, int pool_size,
+                          int thin_rank);
 
 struct RecRequest {
   int user = 0;
@@ -175,12 +193,6 @@ struct RecResponse {
   bool cache_hit = false;
   /// Exactly which representation served this request.
   ServePath path = ServePath::kPrimal;
-  /// True when this request was served from a thin factor-backed
-  /// representation instead of a materialized kernel: kDualSample,
-  /// kFactorDiagSample, or kFactorMap. Derived from `path` — kept for
-  /// callers that only care thin-vs-materialized (kDiagMap is thin too
-  /// but carries no factor, and reports false as it always has).
-  bool dual_path = false;
   double latency_ms = 0.0;
 };
 
@@ -300,23 +312,6 @@ class RecommendationService {
   /// Builds the pool and fetches-or-builds the served kernel for a user
   /// through the cache's deduplicated build path.
   Result<UserWork> PrepareUser(int user, const Vector& scores);
-
-  /// True when this pool's sampling kernel should be built through a
-  /// thin factor path: the dual k-DPP at alpha == 1, the exact
-  /// factor-plus-diagonal k-DPP at 0 < alpha < 1 (see the KernelCache
-  /// note above). Requires a thin factor thinner than the pool and
-  /// alpha > 0 (at alpha == 0 the blend is pure diagonal and the primal
-  /// build is already trivial). Approximate sources additionally pass
-  /// through the per-pool error-budget gate at build time.
-  bool IsDualEligible(const std::vector<int>& pool) const;
-
-  /// True when this pool's MAP-rerank kernel should be held as a
-  /// FactorDiagKernelRep instead of materialized. Unlike UseDualPath,
-  /// ANY blend alpha qualifies — greedy MAP only reads kernel entries,
-  /// and every entry of Diag(q)(alpha*K + (1-alpha)*I)Diag(q) is
-  /// computable from the thin factor. Profitable when the factor is
-  /// thinner than the pool.
-  bool UseFactorRep(const std::vector<int>& pool) const;
 
   /// Distills one request's top-k list from its user's prepared kernel.
   Result<RecResponse> SelectTopK(int user, const UserWork& work, Rng* rng);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <set>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "obs/metrics.h"
 #include "serve/kernel_cache.h"
 #include "serve/stats.h"
+#include "testing_util.h"
 
 namespace lkpdpp {
 namespace {
@@ -472,8 +474,8 @@ TEST(ServeTest, MapFactorRepMatchesForcedPrimalExactly) {
         EXPECT_EQ((*rf)[i].items, (*rp)[i].items)
             << "alpha " << alpha << " batch " << b << " request " << i
             << ": factor and primal MAP selections diverged";
-        EXPECT_FALSE((*rp)[i].dual_path);
-        if ((*rf)[i].dual_path) ++factor_responses;
+        EXPECT_EQ((*rp)[i].path, ServePath::kPrimal);
+        if ((*rf)[i].path == ServePath::kFactorMap) ++factor_responses;
       }
     }
     // The factor rep actually engaged (rank 8 < pool 20 everywhere).
@@ -497,7 +499,7 @@ TEST(ServeTest, MapFactorRepBitIdenticalAcrossThreadCounts) {
       responses.status().CheckOK();
       for (const RecResponse& r : *responses) {
         all_items.push_back(r.items);
-        saw_factor = saw_factor || r.dual_path;
+        saw_factor = saw_factor || r.path == ServePath::kFactorMap;
       }
     }
     EXPECT_TRUE(saw_factor);
@@ -730,8 +732,8 @@ TEST(ServeTest, DualPathMatchesForcedPrimalExactly) {
       EXPECT_EQ((*rd)[i].items, (*rp)[i].items)
           << "batch " << b << " request " << i
           << ": dual and primal representations diverged";
-      EXPECT_FALSE((*rp)[i].dual_path);
-      if ((*rd)[i].dual_path) ++dual_responses;
+      EXPECT_EQ((*rp)[i].path, ServePath::kPrimal);
+      if ((*rd)[i].path == ServePath::kDualSample) ++dual_responses;
     }
   }
   // The dual path actually engaged (rank 8 < pool 20 everywhere).
@@ -754,7 +756,7 @@ TEST(ServeTest, DualPathBitIdenticalAcrossThreadCounts) {
       responses.status().CheckOK();
       for (const RecResponse& r : *responses) {
         all_items.push_back(r.items);
-        saw_dual = saw_dual || r.dual_path;
+        saw_dual = saw_dual || r.path == ServePath::kDualSample;
       }
     }
     EXPECT_TRUE(saw_dual);
@@ -791,7 +793,7 @@ TEST(ServeTest, DualEntriesSurviveLruEvictionChurn) {
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ((*churned)[i].items, (*golden)[i].items)
         << "eviction churn changed a dual-path recommendation";
-    EXPECT_TRUE((*churned)[i].dual_path);
+    EXPECT_EQ((*churned)[i].path, ServePath::kDualSample);
   }
   EXPECT_LE((*service)->cache().size(), 1);
   EXPECT_GT((*service)->cache().evictions(), 0);
@@ -875,7 +877,7 @@ TEST(ServeTest, MixedDualAndPrimalEntriesShareOneCacheCorrectly) {
   for (const RecResponse& r : *cold) {
     EXPECT_FALSE(r.cache_hit);
     if (r.items.empty()) continue;
-    (r.dual_path ? saw_dual : saw_primal) = true;
+    (r.path == ServePath::kDualSample ? saw_dual : saw_primal) = true;
   }
   EXPECT_TRUE(saw_dual) << "no pool exceeded the factor rank";
   EXPECT_TRUE(saw_primal) << "no pool stayed under the factor rank";
@@ -888,7 +890,7 @@ TEST(ServeTest, MixedDualAndPrimalEntriesShareOneCacheCorrectly) {
     const RecResponse& r = (*warm)[i];
     if (r.items.empty()) continue;
     EXPECT_TRUE(r.cache_hit) << "user " << r.user;
-    EXPECT_EQ(r.dual_path, (*cold)[i].dual_path)
+    EXPECT_EQ(r.path, (*cold)[i].path)
         << "cache hit changed representation for user " << r.user;
     std::set<int> distinct(r.items.begin(), r.items.end());
     EXPECT_EQ(distinct.size(), r.items.size());
@@ -1412,7 +1414,7 @@ TEST(ServeTest, DeadlineZeroDispatchesImmediatelyWithoutSkips) {
 TEST(ServeTest, AlphaZeroDiagPathMatchesForcedPrimalOracle) {
   ServeWorld* w = World();
   obs::Counter* diag_total = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_diag_path_total");
+      "lkp_serve_path_total{path=\"diag_map\"}");
   ServeConfig diag_cfg = BaseConfig(ServeMode::kMapRerank);
   diag_cfg.kernel_blend_alpha = 0.0;
   ServeConfig primal_cfg = diag_cfg;
@@ -1442,6 +1444,271 @@ TEST(ServeTest, AlphaZeroDiagPathMatchesForcedPrimalOracle) {
   const long diag_builds = diag_total->Value() - before;
   EXPECT_EQ(diag_builds, (*diag_service)->cache().builds());
   EXPECT_GT(diag_builds, 0);
+}
+
+// ---------------------------------------------------------------------
+// Serve-path decision and per-path attribution
+
+// The sampling-mode base config at a given blend.
+ServeConfig SampleConfig(double alpha) {
+  ServeConfig config = BaseConfig(ServeMode::kSample);
+  config.kernel_blend_alpha = alpha;
+  return config;
+}
+
+// ChooseServePath over mode x alpha x thin rank x force_primal, against a
+// 20-item pool. force_primal wins every cell; blended sampling is primal.
+TEST(ServeTest, ChooseServePathTable) {
+  constexpr int kPool = 20;
+  struct Row {
+    ServeMode mode;
+    double alpha;
+    int thin_rank;
+    ServePath expected;
+  };
+  const Row rows[] = {
+      // MAP rerank: alpha == 0 is a pure diagonal whatever the factor;
+      // otherwise the factor rep whenever it is thinner than the pool.
+      {ServeMode::kMapRerank, 0.0, 0, ServePath::kDiagMap},
+      {ServeMode::kMapRerank, 0.0, 8, ServePath::kDiagMap},
+      {ServeMode::kMapRerank, 0.0, kPool, ServePath::kDiagMap},
+      {ServeMode::kMapRerank, 0.4, 0, ServePath::kPrimal},
+      {ServeMode::kMapRerank, 0.4, 8, ServePath::kFactorMap},
+      {ServeMode::kMapRerank, 0.4, kPool, ServePath::kPrimal},
+      {ServeMode::kMapRerank, 1.0, 0, ServePath::kPrimal},
+      {ServeMode::kMapRerank, 1.0, 8, ServePath::kFactorMap},
+      {ServeMode::kMapRerank, 1.0, kPool, ServePath::kPrimal},
+      // Sampling: only the pure-factor blend with a thin factor goes
+      // dual; alpha == 0 and blended 0 < alpha < 1 build primally.
+      {ServeMode::kSample, 0.0, 0, ServePath::kPrimal},
+      {ServeMode::kSample, 0.0, 8, ServePath::kPrimal},
+      {ServeMode::kSample, 0.0, kPool, ServePath::kPrimal},
+      {ServeMode::kSample, 0.4, 0, ServePath::kPrimal},
+      {ServeMode::kSample, 0.4, 8, ServePath::kPrimal},
+      {ServeMode::kSample, 0.4, kPool, ServePath::kPrimal},
+      {ServeMode::kSample, 1.0, 0, ServePath::kPrimal},
+      {ServeMode::kSample, 1.0, 8, ServePath::kDualSample},
+      {ServeMode::kSample, 1.0, kPool, ServePath::kPrimal},
+  };
+  for (const Row& row : rows) {
+    for (bool force_primal : {false, true}) {
+      ServeConfig config;
+      config.mode = row.mode;
+      config.kernel_blend_alpha = row.alpha;
+      config.force_primal = force_primal;
+      const ServePath expected =
+          force_primal ? ServePath::kPrimal : row.expected;
+      const ServePath chosen = ChooseServePath(config, kPool, row.thin_rank);
+      EXPECT_EQ(chosen, expected)
+          << ServeModeName(row.mode) << " alpha=" << row.alpha
+          << " rank=" << row.thin_rank << " force_primal=" << force_primal
+          << ": chose " << ServePathName(chosen) << ", expected "
+          << ServePathName(expected);
+    }
+  }
+}
+
+TEST(ServeTest, PathAttributionIsPerRepresentation) {
+  ServeWorld* w = World();
+  obs::Counter* primal = obs::MetricsRegistry::Global().GetCounter(
+      "lkp_serve_path_total{path=\"primal\"}");
+  obs::Counter* factor_map = obs::MetricsRegistry::Global().GetCounter(
+      "lkp_serve_path_total{path=\"factor_map\"}");
+  obs::Counter* factor_diag_sample =
+      obs::MetricsRegistry::Global().GetCounter(
+          "lkp_serve_path_total{path=\"factor_diag_sample\"}");
+  obs::Counter* dual_sample = obs::MetricsRegistry::Global().GetCounter(
+      "lkp_serve_path_total{path=\"dual_sample\"}");
+
+  // MAP with the factor rep: path attribution goes to factor_map.
+  {
+    ServeConfig cfg = SampleConfig(0.5);
+    cfg.mode = ServeMode::kMapRerank;
+    auto service = RecommendationService::Create(
+        &w->dataset, w->model.get(), &w->diversity, nullptr, cfg);
+    ASSERT_TRUE(service.ok());
+    const long map_before = factor_map->Value();
+    auto responses = (*service)->HandleBatch(RoundRobinBatch(16, 0));
+    ASSERT_TRUE(responses.ok());
+    bool saw_factor_map = false;
+    for (const RecResponse& r : *responses) {
+      if (r.items.empty()) continue;
+      EXPECT_EQ(r.path, ServePath::kFactorMap);
+      saw_factor_map = true;
+    }
+    EXPECT_TRUE(saw_factor_map);
+    EXPECT_GT(factor_map->Value(), map_before);
+  }
+
+  // Blended sampling builds primally and attributes to primal, never to
+  // a thin sampling path.
+  {
+    auto service = RecommendationService::Create(
+        &w->dataset, w->model.get(), &w->diversity, nullptr,
+        SampleConfig(0.5));
+    ASSERT_TRUE(service.ok());
+    const long primal_before = primal->Value();
+    const long fd_before = factor_diag_sample->Value();
+    const long dual_before = dual_sample->Value();
+    auto responses = (*service)->HandleBatch(RoundRobinBatch(16, 0));
+    ASSERT_TRUE(responses.ok());
+    for (const RecResponse& r : *responses) {
+      if (r.items.empty()) continue;
+      EXPECT_EQ(r.path, ServePath::kPrimal);
+    }
+    EXPECT_GT(primal->Value(), primal_before);
+    EXPECT_EQ(factor_diag_sample->Value(), fd_before);
+    EXPECT_EQ(dual_sample->Value(), dual_before);
+  }
+
+  // Pure-diversity sampling still attributes to dual_sample.
+  {
+    auto service = RecommendationService::Create(
+        &w->dataset, w->model.get(), &w->diversity, nullptr,
+        SampleConfig(1.0));
+    ASSERT_TRUE(service.ok());
+    const long dual_before = dual_sample->Value();
+    auto responses = (*service)->HandleBatch(RoundRobinBatch(16, 0));
+    ASSERT_TRUE(responses.ok());
+    for (const RecResponse& r : *responses) {
+      if (r.items.empty()) continue;
+      EXPECT_EQ(r.path, ServePath::kDualSample);
+    }
+    EXPECT_GT(dual_sample->Value(), dual_before);
+  }
+
+  // MAP at alpha == 0 attributes to diag_map.
+  {
+    ServeConfig cfg = SampleConfig(0.0);
+    cfg.mode = ServeMode::kMapRerank;
+    auto service = RecommendationService::Create(
+        &w->dataset, w->model.get(), &w->diversity, nullptr, cfg);
+    ASSERT_TRUE(service.ok());
+    auto responses = (*service)->HandleBatch(RoundRobinBatch(8, 0));
+    ASSERT_TRUE(responses.ok());
+    for (const RecResponse& r : *responses) {
+      if (r.items.empty()) continue;
+      EXPECT_EQ(r.path, ServePath::kDiagMap);
+    }
+  }
+}
+
+TEST(ServeTest, ServePathNamesAreStable) {
+  EXPECT_STREQ(ServePathName(ServePath::kPrimal), "primal");
+  EXPECT_STREQ(ServePathName(ServePath::kDualSample), "dual_sample");
+  EXPECT_STREQ(ServePathName(ServePath::kFactorDiagSample),
+               "factor_diag_sample");
+  EXPECT_STREQ(ServePathName(ServePath::kFactorMap), "factor_map");
+  EXPECT_STREQ(ServePathName(ServePath::kDiagMap), "diag_map");
+}
+
+// ---------------------------------------------------------------------
+// Config validation regressions (NaN used to pass the range checks)
+
+TEST(ConfigValidationTest, ServeConfigRejectsNonFiniteFields) {
+  ServeWorld* w = World();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto create = [&](const ServeConfig& cfg) {
+    return RecommendationService::Create(&w->dataset, w->model.get(),
+                                         &w->diversity, nullptr, cfg)
+        .ok();
+  };
+  // Regression: `alpha < 0 || alpha > 1` waved NaN straight through.
+  ServeConfig cfg = SampleConfig(0.5);
+  cfg.kernel_blend_alpha = nan;
+  EXPECT_FALSE(create(cfg));
+  cfg = SampleConfig(0.5);
+  cfg.kernel_blend_alpha = inf;
+  EXPECT_FALSE(create(cfg));
+  cfg = SampleConfig(0.5);
+  cfg.batch_deadline_ms = nan;
+  EXPECT_FALSE(create(cfg));
+  cfg = SampleConfig(0.5);
+  cfg.batch_deadline_ms = inf;
+  EXPECT_FALSE(create(cfg));
+  cfg = SampleConfig(0.5);
+  cfg.approx_error_budget = nan;
+  EXPECT_FALSE(create(cfg));
+  cfg = SampleConfig(0.5);
+  cfg.approx_factor_rank = -1;
+  EXPECT_FALSE(create(cfg));
+  EXPECT_TRUE(create(SampleConfig(0.5)));
+}
+
+// ---------------------------------------------------------------------
+// Approximate (Nystrom) factors for Gaussian kernels: the serving budget
+// gate
+
+TEST(GaussianServeTest, ApproximationIsOptInAndBudgetGated) {
+  ServeWorld* w = World();
+  Rng rng(41);
+  Matrix embeddings =
+      testutil::RandomMatrix(w->dataset.num_items(), 6, &rng);
+  obs::Counter* fallback = obs::MetricsRegistry::Global().GetCounter(
+      "lkp_serve_approx_fallback_total");
+
+  // Default config (approx_factor_rank == 0): approximation disabled,
+  // every pool serves exactly through the primal path.
+  {
+    auto service = RecommendationService::CreateGaussian(
+        &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
+        SampleConfig(0.5));
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    auto responses = (*service)->HandleBatch(RoundRobinBatch(12, 0));
+    ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+    for (const RecResponse& r : *responses) {
+      if (r.items.empty()) continue;
+      EXPECT_EQ(r.path, ServePath::kPrimal);
+    }
+  }
+
+  // Opt in with a generous budget: factor-backed (dual) sampling
+  // engages.
+  {
+    ServeConfig cfg = SampleConfig(1.0);
+    cfg.approx_factor_rank = 6;
+    cfg.approx_error_budget = 1.0;  // Gaussian entries are <= 1 anyway.
+    auto service = RecommendationService::CreateGaussian(
+        &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
+        cfg);
+    ASSERT_TRUE(service.ok());
+    auto responses = (*service)->HandleBatch(RoundRobinBatch(12, 0));
+    ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+    bool engaged = false;
+    for (const RecResponse& r : *responses) {
+      engaged = engaged || r.path == ServePath::kDualSample;
+    }
+    EXPECT_TRUE(engaged) << "approximate factor never engaged";
+  }
+
+  // Opt in with an impossible budget: every pool falls back to the
+  // exact primal build, the fallback counter says so, and the responses
+  // are bit-identical to the never-opted-in service.
+  {
+    ServeConfig cfg = SampleConfig(1.0);
+    cfg.approx_factor_rank = 4;
+    cfg.approx_error_budget = 0.0;
+    auto gated = RecommendationService::CreateGaussian(
+        &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
+        cfg);
+    auto exact = RecommendationService::CreateGaussian(
+        &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
+        SampleConfig(1.0));
+    ASSERT_TRUE(gated.ok());
+    ASSERT_TRUE(exact.ok());
+    const long before = fallback->Value();
+    auto rg = (*gated)->HandleBatch(RoundRobinBatch(12, 0));
+    auto re = (*exact)->HandleBatch(RoundRobinBatch(12, 0));
+    ASSERT_TRUE(rg.ok());
+    ASSERT_TRUE(re.ok());
+    EXPECT_GT(fallback->Value(), before);
+    for (size_t i = 0; i < rg->size(); ++i) {
+      EXPECT_EQ((*rg)[i].path, ServePath::kPrimal);
+      EXPECT_EQ((*rg)[i].items, (*re)[i].items)
+          << "budget fallback changed a response";
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -437,6 +438,25 @@ TEST(ModelUpdaterTest, ConcurrentServingAndUpdatesStress) {
   EXPECT_EQ(svc->model_version(), 10u);
   const ServeStats stats = svc->Snapshot();
   EXPECT_EQ(stats.requests, 3 * 40);
+}
+
+// Config validation regression: NaN used to pass the jitter range check.
+TEST(ConfigValidationTest, UpdateConfigRejectsNonFiniteJitter) {
+  StreamWorld w = MakeWorld();
+  auto service = RecommendationService::Create(
+      &w.dataset, w.model.get(), w.diversity.get(), nullptr,
+      BaseServeConfig(ServeMode::kSample));
+  ASSERT_TRUE(service.ok());
+  UpdateConfig cfg;
+  cfg.kernel_set_size = 4;
+  cfg.kernel_jitter = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(ModelUpdater::Create(&w.dataset, w.model.get(),
+                                    w.diversity.get(), service->get(), cfg)
+                   .ok());
+  cfg.kernel_jitter = 1e-4;
+  EXPECT_TRUE(ModelUpdater::Create(&w.dataset, w.model.get(),
+                                   w.diversity.get(), service->get(), cfg)
+                  .ok());
 }
 
 }  // namespace
