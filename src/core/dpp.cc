@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-
-#include "common/string_util.h"
-#include "linalg/lu.h"
+#include <utility>
 
 namespace lkpdpp {
 
@@ -81,77 +78,29 @@ Result<std::vector<int>> SampleElementaryDpp(Matrix basis, Rng* rng) {
   return items;
 }
 
-Dpp::Dpp(Matrix kernel, EigenDecomposition eig, double log_z)
-    : kernel_(std::move(kernel)), eig_(std::move(eig)), log_z_(log_z) {}
-
-Dpp::Dpp(LowRankFactor factor, EigenDecomposition dual_eig, double log_z)
-    : factor_(std::move(factor)),
-      dual_(true),
-      eig_(std::move(dual_eig)),
-      log_z_(log_z) {}
+Dpp::Dpp(KernelSpectrum spectrum)
+    : spectrum_(std::move(spectrum)), log_z_(0.0) {
+  // log det(L + I) = sum log1p(lambda); the (n - d) eigenvalues a dual
+  // spectrum leaves implicit are zeros and contribute log1p(0) = 0.
+  const Vector& lambda = spectrum_.eigenvalues();
+  for (int i = 0; i < lambda.size(); ++i) log_z_ += std::log1p(lambda[i]);
+}
 
 Result<Dpp> Dpp::Create(Matrix kernel) {
-  if (kernel.rows() != kernel.cols()) {
-    return Status::InvalidArgument(
-        StrFormat("DPP kernel must be square, got %dx%d", kernel.rows(),
-                  kernel.cols()));
-  }
-  if (!kernel.AllFinite()) {
-    return Status::NumericalError("DPP kernel contains non-finite values");
-  }
-  LKP_ASSIGN_OR_RETURN(EigenDecomposition eig, SymmetricEigen(kernel));
-  // Shared PSD-boundary handling (see ClampSpectrumToPsd): eigenvalues
-  // within working precision of zero (either sign) are clamped to exactly
-  // zero, genuinely indefinite kernels are rejected.
-  LKP_RETURN_IF_ERROR(
-      ClampSpectrumToPsd(&eig.eigenvalues, kernel.rows()));
-  double log_z = 0.0;
-  for (int i = 0; i < eig.eigenvalues.size(); ++i) {
-    log_z += std::log1p(eig.eigenvalues[i]);
-  }
-  return Dpp(std::move(kernel), std::move(eig), log_z);
+  LKP_ASSIGN_OR_RETURN(KernelSpectrum spectrum,
+                       KernelSpectrum::FromKernel(std::move(kernel)));
+  return Dpp(std::move(spectrum));
 }
 
 Result<Dpp> Dpp::CreateDual(LowRankFactor factor) {
-  if (factor.ground_size() < 1) {
-    return Status::InvalidArgument("dual DPP requires a non-empty factor");
-  }
-  // EigenDual applies the same clamp as Create, at primal ground size.
-  LKP_ASSIGN_OR_RETURN(DualEigen dual, factor.EigenDual());
-  // The (n - d) eigenvalues of L missing from the dual spectrum are
-  // exactly zero and contribute log1p(0) = 0 to log det(L + I).
-  double log_z = 0.0;
-  for (int i = 0; i < dual.eigenvalues.size(); ++i) {
-    log_z += std::log1p(dual.eigenvalues[i]);
-  }
-  EigenDecomposition eig;
-  eig.eigenvalues = std::move(dual.eigenvalues);
-  eig.eigenvectors = std::move(dual.dual_vectors);
-  return Dpp(std::move(factor), std::move(eig), log_z);
+  LKP_ASSIGN_OR_RETURN(KernelSpectrum spectrum,
+                       KernelSpectrum::FromFactor(std::move(factor)));
+  return Dpp(std::move(spectrum));
 }
 
 Result<double> Dpp::LogProb(const std::vector<int>& subset) const {
-  std::vector<int> sorted = subset;
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i] < 0 || sorted[i] >= ground_size()) {
-      return Status::OutOfRange(
-          StrFormat("subset index %d outside ground set of size %d",
-                    sorted[i], ground_size()));
-    }
-    if (i > 0 && sorted[i] == sorted[i - 1]) {
-      return Status::InvalidArgument(
-          StrFormat("duplicate index %d in subset", sorted[i]));
-    }
-  }
-  if (sorted.empty()) return -log_z_;  // det of empty matrix is 1.
-  // det(L_S) from the kernel submatrix, or from the Gram of the factor's
-  // rows — the same matrix, assembled without materializing L.
-  const Matrix sub = dual_ ? factor_.SubsetGram(sorted)
-                           : kernel_.PrincipalSubmatrix(sorted);
-  LKP_ASSIGN_OR_RETURN(double det, Determinant(sub));
-  if (det <= 0.0) return -std::numeric_limits<double>::infinity();
-  return std::log(det) - log_z_;
+  LKP_ASSIGN_OR_RETURN(double log_det, spectrum_.SubsetLogDet(subset));
+  return log_det - log_z_;
 }
 
 Result<double> Dpp::Prob(const std::vector<int>& subset) const {
@@ -159,9 +108,10 @@ Result<double> Dpp::Prob(const std::vector<int>& subset) const {
   return std::exp(lp);
 }
 
-// Per-column marginal weight lambda / (1 + lambda) — zero exactly on
-// zero eigenvalues, in either representation.
-static Vector DppMarginalWeights(const Vector& lambda) {
+// Zero exactly on zero eigenvalues, so the dual path only lifts columns
+// with a positive eigenvalue.
+Vector Dpp::MarginalWeights() const {
+  const Vector& lambda = spectrum_.eigenvalues();
   Vector w(lambda.size());
   for (int c = 0; c < lambda.size(); ++c) {
     w[c] = lambda[c] / (1.0 + lambda[c]);
@@ -170,93 +120,48 @@ static Vector DppMarginalWeights(const Vector& lambda) {
 }
 
 Matrix Dpp::MarginalKernel() const {
-  const int m = ground_size();
-  const Vector w = DppMarginalWeights(eig_.eigenvalues);
-  if (dual_) {
-    return WeightedLiftedOuter(factor_, eig_.eigenvalues,
-                               eig_.eigenvectors, w);
-  }
-  Matrix scaled(m, m);
-  for (int c = 0; c < m; ++c) {
-    for (int r = 0; r < m; ++r) {
-      scaled(r, c) = eig_.eigenvectors(r, c) * w[c];
-    }
-  }
-  Matrix out = MatMulTransB(scaled, eig_.eigenvectors);
-  out.Symmetrize();
-  return out;
+  return spectrum_.WeightedOuter(MarginalWeights());
 }
 
 Vector Dpp::MarginalDiagonal() const {
-  const Vector w = DppMarginalWeights(eig_.eigenvalues);
-  if (dual_) {
-    return WeightedLiftedDiagonal(factor_, eig_.eigenvalues,
-                                  eig_.eigenvectors, w);
-  }
-  return WeightedEigenvectorDiagonal(eig_.eigenvectors, w);
+  return spectrum_.WeightedDiagonal(MarginalWeights());
 }
 
-double Dpp::ExpectedSize() const {
-  double s = 0.0;
-  for (int i = 0; i < eig_.eigenvalues.size(); ++i) {
-    s += eig_.eigenvalues[i] / (1.0 + eig_.eigenvalues[i]);
-  }
-  return s;
-}
+double Dpp::ExpectedSize() const { return MarginalWeights().Sum(); }
 
 Result<std::vector<int>> Dpp::Sample(Rng* rng) const {
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
+  const Vector& lambda = spectrum_.eigenvalues();
   const int m = ground_size();
-  if (dual_) {
-    const Vector& lambda = eig_.eigenvalues;
-    const int d = lambda.size();
-    // Draw-for-draw compatible with the primal sampler, which spends one
-    // (never-selecting) Uniform() on each of L's zero eigenvalues. The
-    // ascending spectra line up as
-    //   primal: (m - r) zeros, then the r positives;
-    //   dual:   (d - r) zeros, then the same r positives;
-    // so a thin factor (d < m) burns m - d extra draws to mirror the
-    // primal's leading zeros, and a wide factor (d > m) skips its d - m
-    // leading structural zeros (C cannot have rank above m) without
-    // consuming anything. Either way exactly m draws are consumed and a
-    // fixed seed yields the same subset in either representation.
-    for (int i = 0; i < m - d; ++i) {
-      if (rng->Uniform() < 0.0) {
-        return Status::Internal("zero eigenvalue selected in dual sampler");
-      }
+  const int d = lambda.size();
+  // One selection draw per eigenvalue of L, in ascending order, so both
+  // representations consume the Rng draw for draw. The ascending spectra
+  // line up as
+  //   L:        (m - r) zeros, then the r positives;
+  //   stored:   (d - r) zeros, then the same r positives
+  // (d == m for a primal spectrum). A thin dual factor (d < m) burns
+  // m - d never-selecting draws for the zeros it leaves implicit; a wide
+  // one (d > m) skips its d - m leading structural zeros (C cannot have
+  // rank above m) without consuming anything. Either way exactly m draws
+  // are consumed.
+  for (int i = d; i < m; ++i) rng->Uniform();
+  const int skip = std::max(0, d - m);
+  for (int j = 0; j < skip; ++j) {
+    if (lambda[j] != 0.0) {
+      // Rank above the ground size is impossible; a positive here means
+      // the clamp failed to absorb dual-eigensolve noise.
+      return Status::Internal(
+          "wide dual factor carries more positive eigenvalues than the "
+          "ground set admits");
     }
-    const int skip = std::max(0, d - m);
-    for (int j = 0; j < skip; ++j) {
-      if (lambda[j] != 0.0) {
-        // Rank above the ground size is impossible; a positive here means
-        // the clamp failed to absorb dual-eigensolve noise.
-        return Status::Internal(
-            "wide dual factor carries more positive eigenvalues than the "
-            "ground set admits");
-      }
-    }
-    std::vector<int> selected;
-    for (int j = skip; j < d; ++j) {
-      const double lam = lambda[j];
-      if (rng->Uniform() < lam / (1.0 + lam)) selected.push_back(j);
-    }
-    if (selected.empty()) return std::vector<int>{};
-    Matrix basis = factor_.LiftEigenvectors(eig_.eigenvalues,
-                                            eig_.eigenvectors, selected);
-    return SampleElementaryDpp(std::move(basis), rng);
   }
   std::vector<int> selected;
-  for (int i = 0; i < m; ++i) {
-    const double lam = eig_.eigenvalues[i];
-    if (rng->Uniform() < lam / (1.0 + lam)) selected.push_back(i);
+  for (int j = skip; j < d; ++j) {
+    const double lam = lambda[j];
+    if (rng->Uniform() < lam / (1.0 + lam)) selected.push_back(j);
   }
   if (selected.empty()) return std::vector<int>{};
-  Matrix basis(m, static_cast<int>(selected.size()));
-  for (size_t c = 0; c < selected.size(); ++c) {
-    basis.SetCol(static_cast<int>(c),
-                 eig_.eigenvectors.Col(selected[c]));
-  }
-  return SampleElementaryDpp(std::move(basis), rng);
+  return SampleElementaryDpp(spectrum_.EigenvectorColumns(selected), rng);
 }
 
 }  // namespace lkpdpp

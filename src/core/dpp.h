@@ -16,25 +16,23 @@
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "linalg/eigen.h"
 #include "linalg/low_rank.h"
 #include "linalg/matrix.h"
+#include "linalg/spectrum.h"
 
 namespace lkpdpp {
 
 /// An exact standard DPP with PSD kernel L over {0..m-1}.
 ///
-/// Two representations share this type. The primal one (Create) holds the
-/// n x n kernel and its full eigendecomposition. The dual one
-/// (CreateDual) holds a rank-d factor V with L = V V^T plus the d x d
-/// dual eigendecomposition, and never materializes L: probabilities come
-/// from Gram determinants and sampling lifts dual eigenvectors on demand
-/// (Gartrell et al. 2016). Both representations define the same
+/// Two representations share this type, both held as a KernelSpectrum
+/// (linalg/spectrum.h). The primal one (Create) eigendecomposes the n x n
+/// kernel. The dual one (CreateDual) holds a rank-d factor V with
+/// L = V V^T plus the d x d dual eigendecomposition, and never
+/// materializes L (Gartrell et al. 2016). Both define the same
 /// distribution, and for a fixed seed Sample draws the same subsets
-/// either way: the dual sampler consumes its Rng in the exact draw order
-/// of the primal sampler (including the selection draws the primal spends
-/// on zero eigenvalues), so swapping representations cannot re-randomize
-/// a stream.
+/// either way: the sampler spends one Rng draw per eigenvalue of L,
+/// including the (n - d) zeros a dual spectrum leaves implicit, so
+/// swapping representations cannot re-randomize a stream.
 class Dpp {
  public:
   /// Fails on non-square/non-symmetric/indefinite kernels (round-off
@@ -47,21 +45,13 @@ class Dpp {
   /// independent.
   static Result<Dpp> CreateDual(LowRankFactor factor);
 
-  int ground_size() const {
-    return dual_ ? factor_.ground_size() : kernel_.rows();
-  }
-  bool is_dual() const { return dual_; }
-
-  /// Primal-mode kernel. Empty in dual mode (the whole point is never
-  /// materializing it); use factor() there.
-  const Matrix& kernel() const { return kernel_; }
-  /// Dual-mode factor V. Empty (0 x 0 v()) in primal mode.
-  const LowRankFactor& factor() const { return factor_; }
+  int ground_size() const { return spectrum_.ground_size(); }
+  bool is_dual() const { return spectrum_.is_dual(); }
 
   /// Primal mode: all n eigenvalues of L, ascending. Dual mode: the d
   /// eigenvalues of the dual kernel C = V^T V, ascending — L's spectrum
   /// is these plus (n - d) implicit zeros.
-  const Vector& eigenvalues() const { return eig_.eigenvalues; }
+  const Vector& eigenvalues() const { return spectrum_.eigenvalues(); }
 
   /// log det(L + I): the normalizer over all 2^m subsets.
   double LogNormalizer() const { return log_z_; }
@@ -88,13 +78,12 @@ class Dpp {
   Result<std::vector<int>> Sample(Rng* rng) const;
 
  private:
-  Dpp(Matrix kernel, EigenDecomposition eig, double log_z);
-  Dpp(LowRankFactor factor, EigenDecomposition dual_eig, double log_z);
-  Matrix kernel_;       // Primal mode only.
-  LowRankFactor factor_;  // Dual mode only.
-  bool dual_ = false;
-  // Primal: eigenpairs of L. Dual: eigenpairs of C = V^T V (d x d).
-  EigenDecomposition eig_;
+  explicit Dpp(KernelSpectrum spectrum);
+
+  /// Per-column marginal weight lambda / (1 + lambda).
+  Vector MarginalWeights() const;
+
+  KernelSpectrum spectrum_;
   double log_z_;
 };
 

@@ -17,23 +17,23 @@
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "linalg/eigen.h"
 #include "linalg/low_rank.h"
 #include "linalg/matrix.h"
+#include "linalg/spectrum.h"
 
 namespace lkpdpp {
 
 /// An exact k-DPP over a ground set {0, .., m-1} with PSD kernel L.
 ///
-/// Two representations share this type. The primal one (Create)
-/// eigendecomposes the m x m kernel. The dual one (CreateDual) takes a
-/// rank-d factor V with L = V V^T and works entirely through the d x d
-/// dual kernel C = V^T V (Gartrell et al. 2016): construction costs
-/// O(m d^2 + d^3) instead of O(m^3), each Sample costs O(m d k), and the
-/// m x m kernel is never materialized. Both define the same distribution;
-/// the dual sampler consumes its Rng in the exact draw order of the
-/// primal sampler, so a fixed seed yields the same subset stream in
-/// either representation.
+/// Two representations share this type, both held as a KernelSpectrum
+/// (linalg/spectrum.h). The primal one (Create) eigendecomposes the
+/// m x m kernel. The dual one (CreateDual) takes a rank-d factor V with
+/// L = V V^T and works entirely through the d x d dual kernel C = V^T V
+/// (Gartrell et al. 2016): construction costs O(m d^2 + d^3) instead of
+/// O(m^3), each Sample costs O(m d k), and the m x m kernel is never
+/// materialized. Both define the same distribution; the sampler consumes
+/// its Rng identically over either spectrum, so a fixed seed yields the
+/// same subset stream in either representation.
 class KDpp {
  public:
   /// Builds the distribution. Fails if the kernel is not square/symmetric,
@@ -51,23 +51,16 @@ class KDpp {
   static Result<KDpp> CreateDual(LowRankFactor factor, int k);
 
   int k() const { return k_; }
-  int ground_size() const {
-    return dual_ ? factor_.ground_size() : kernel_.rows();
-  }
-  bool is_dual() const { return dual_; }
-
-  /// Primal-mode kernel. Empty in dual mode; use factor() there.
-  const Matrix& kernel() const { return kernel_; }
-  /// Dual-mode factor V. Empty (0 x 0 v()) in primal mode.
-  const LowRankFactor& factor() const { return factor_; }
+  int ground_size() const { return spectrum_.ground_size(); }
+  bool is_dual() const { return spectrum_.is_dual(); }
 
   /// Primal mode: all m eigenvalues of L, ascending. Dual mode: the d
   /// eigenvalues of C = V^T V, ascending — L's spectrum is these plus
   /// (m - d) implicit zeros, which no ESP or sampler ever needs.
-  const Vector& eigenvalues() const { return eig_.eigenvalues; }
+  const Vector& eigenvalues() const { return spectrum_.eigenvalues(); }
   /// Primal mode: eigenvectors of L. Dual mode: eigenvectors of C (d x d
-  /// dual vectors; lift via factor().LiftEigenvectors to reach L-space).
-  const Matrix& eigenvectors() const { return eig_.eigenvectors; }
+  /// dual vectors).
+  const Matrix& eigenvectors() const { return spectrum_.eigenvectors(); }
 
   /// log Z_k = log e_k(lambda).
   double LogNormalizer() const { return log_zk_; }
@@ -123,20 +116,21 @@ class KDpp {
   Matrix LogNormalizerGradient() const;
 
  private:
-  KDpp(Matrix kernel, int k, EigenDecomposition eig, double log_zk,
-       Matrix esp_table);
-  KDpp(LowRankFactor factor, int k, EigenDecomposition dual_eig,
-       double log_zk, Matrix esp_table);
+  KDpp(KernelSpectrum spectrum, int k, double log_zk, Matrix esp_table);
+
+  /// Shared tail of Create/CreateDual: the rank and ESP checks, the
+  /// normalizer and the sampler's ESP table.
+  static Result<KDpp> FromSpectrum(KernelSpectrum spectrum, int k);
 
   /// Per-spectrum-column marginal weight lambda_c e_{k-1}(lambda \ c)/Z_k.
   Vector MarginalWeights() const;
 
-  Matrix kernel_;         // Primal mode only.
-  LowRankFactor factor_;  // Dual mode only.
-  bool dual_ = false;
+  /// sum_n [e_{k-1}(lambda \ n) / exp(log_scale)] u_n u_n^T with the
+  /// weights taken in log domain; primal mode only (LKP_CHECK).
+  Matrix ScaledNormalizerGradient(double log_scale) const;
+
+  KernelSpectrum spectrum_;
   int k_;
-  // Primal: eigenpairs of L. Dual: eigenpairs of C = V^T V (d x d).
-  EigenDecomposition eig_;
   double log_zk_;
   Matrix esp_table_;  // Full Algorithm-1 table over eigenvalues() (m+1
                       // columns primal, d+1 dual), reused by every

@@ -321,19 +321,6 @@ Result<EigenDecomposition> SymmetricEigenJacobi(const Matrix& a,
                 n));
 }
 
-Vector WeightedEigenvectorDiagonal(const Matrix& vecs, const Vector& w) {
-  Vector diag(vecs.rows());
-  for (int r = 0; r < vecs.rows(); ++r) {
-    double s = 0.0;
-    for (int c = 0; c < vecs.cols(); ++c) {
-      const double u = vecs(r, c);
-      s += w[c] * u * u;
-    }
-    diag[r] = s;
-  }
-  return diag;
-}
-
 void CanonicalizeColumnSigns(Matrix* m_ptr) {
   Matrix& m = *m_ptr;
   for (int c = 0; c < m.cols(); ++c) {

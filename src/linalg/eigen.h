@@ -58,12 +58,6 @@ Result<EigenDecomposition> SymmetricEigenJacobi(const Matrix& a,
 /// factorable in the presence of round-off.
 Result<Matrix> ProjectToPsd(const Matrix& a, double floor = 0.0);
 
-/// diag(V diag(w) V^T) without materializing the product:
-/// out[r] = sum_c w[c] * vecs(r, c)^2. The primal-mode counterpart of
-/// the dual path's WeightedLiftedDiagonal (low_rank.h), shared by the
-/// DPP and k-DPP marginal diagonals.
-Vector WeightedEigenvectorDiagonal(const Matrix& vecs, const Vector& w);
-
 /// Flips each column's sign so its largest-magnitude entry is positive
 /// (ties broken by lowest row index). This is THE eigenvector sign
 /// convention: both solvers apply it to their outputs, and the dual

@@ -7,18 +7,6 @@
 
 namespace lkpdpp {
 
-const char* KernelRepKindName(KernelRepKind kind) {
-  switch (kind) {
-    case KernelRepKind::kPrimal:
-      return "primal";
-    case KernelRepKind::kFactorDiag:
-      return "factor_diag";
-    case KernelRepKind::kDiag:
-      return "diag";
-  }
-  return "?";
-}
-
 PrimalKernelRep::PrimalKernelRep(Matrix kernel) : owned_(std::move(kernel)) {
   LKP_CHECK_EQ(owned_.rows(), owned_.cols());
   matrix_ = &owned_;

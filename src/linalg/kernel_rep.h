@@ -1,14 +1,8 @@
 // Representation-generic read view of a PSD kernel.
 //
-// Every consumer of a serving kernel used to hard-code its storage: the
-// greedy MAP re-ranker took a materialized n x n Matrix, the dual
-// sampler took a LowRankFactor, and blended kernels (kernel_blend_alpha
-// < 1) had no thin representation at all because the identity blend
-// adds a full-rank diagonal no plain factor V·Vᵀ can carry. KernelRep
-// factors the representation out of those call sites: an algorithm that
-// only needs kernel *entries* — diagonals and rows, which is all greedy
-// MAP's incremental Cholesky reads — is written once against this
-// interface and runs on whichever representation is cheapest.
+// An algorithm that only needs kernel *entries* — diagonals and rows,
+// which is all greedy MAP's incremental Cholesky reads — is written once
+// against KernelRep and runs on whichever representation is cheapest.
 //
 // Representations:
 //   * PrimalKernelRep     — a materialized n x n Matrix. O(1) row reads;
@@ -38,8 +32,8 @@
 //
 // Scope: KernelRep serves ENTRY-driven algorithms (greedy MAP). Sampling
 // needs the spectrum, which no KernelRep computes: sampling-mode serving
-// builds a primal KDpp for blended kernels and a dual one (low_rank.h)
-// only at α == 1, where the kernel is a pure factor.
+// builds a primal KDpp for blended kernels and a dual one
+// (linalg/spectrum.h) only at α == 1, where the kernel is a pure factor.
 //
 // Thread safety: reps are immutable after construction; concurrent
 // FillRow/FillDiag/Entry calls are safe.
@@ -56,15 +50,6 @@
 
 namespace lkpdpp {
 
-/// Which storage backs a KernelRep (cost-model input + observability).
-enum class KernelRepKind {
-  kPrimal,      ///< Materialized n x n Matrix.
-  kFactorDiag,  ///< Thin factor + diagonal: Diag(s)(α·V·Vᵀ + δ·I)Diag(s).
-  kDiag,        ///< Pure diagonal: Diag(s)(δ·I)Diag(s); the α == 0 blend.
-};
-
-const char* KernelRepKindName(KernelRepKind kind);
-
 /// Read-only view of a symmetric PSD kernel L over n items. Algorithms
 /// that only consume entries (diagonals + rows) run unchanged on any
 /// implementation; which one is profitable is the caller's cost model.
@@ -74,8 +59,6 @@ class KernelRep {
 
   /// Ground-set size n.
   virtual int size() const = 0;
-
-  virtual KernelRepKind kind() const = 0;
 
   /// Writes L(i, i) for every i into out[0 .. size()).
   virtual void FillDiag(double* out) const = 0;
@@ -100,7 +83,6 @@ class PrimalKernelRep final : public KernelRep {
   static PrimalKernelRep View(const Matrix& kernel);
 
   int size() const override { return matrix_->rows(); }
-  KernelRepKind kind() const override { return KernelRepKind::kPrimal; }
   void FillDiag(double* out) const override;
   void FillRow(int j, double* out) const override;
   double Entry(int i, int j) const override;
@@ -129,7 +111,6 @@ class FactorDiagKernelRep final : public KernelRep {
                                             double alpha, double delta);
 
   int size() const override { return factor_.ground_size(); }
-  KernelRepKind kind() const override { return KernelRepKind::kFactorDiag; }
   void FillDiag(double* out) const override;
   void FillRow(int j, double* out) const override;
   double Entry(int i, int j) const override;
@@ -171,7 +152,6 @@ class DiagKernelRep final : public KernelRep {
   static Result<DiagKernelRep> Create(Vector scale, double delta);
 
   int size() const override { return scale_.size(); }
-  KernelRepKind kind() const override { return KernelRepKind::kDiag; }
   void FillDiag(double* out) const override;
   void FillRow(int j, double* out) const override;
   double Entry(int i, int j) const override;

@@ -136,56 +136,4 @@ Matrix LowRankFactor::LiftEigenvectors(const Vector& eigenvalues,
   return lifted;
 }
 
-namespace {
-
-std::vector<int> PositiveWeightCols(const Vector& weights) {
-  std::vector<int> cols;
-  for (int c = 0; c < weights.size(); ++c) {
-    if (weights[c] > 0.0) cols.push_back(c);
-  }
-  return cols;
-}
-
-}  // namespace
-
-Matrix WeightedLiftedOuter(const LowRankFactor& factor,
-                           const Vector& eigenvalues,
-                           const Matrix& dual_vectors,
-                           const Vector& weights) {
-  const int n = factor.ground_size();
-  const std::vector<int> cols = PositiveWeightCols(weights);
-  if (cols.empty()) return Matrix(n, n);
-  const Matrix lifted =
-      factor.LiftEigenvectors(eigenvalues, dual_vectors, cols);
-  Matrix scaled = lifted;
-  for (size_t c = 0; c < cols.size(); ++c) {
-    const double w = weights[cols[c]];
-    for (int r = 0; r < n; ++r) scaled(r, static_cast<int>(c)) *= w;
-  }
-  Matrix out = MatMulTransB(scaled, lifted);
-  out.Symmetrize();
-  return out;
-}
-
-Vector WeightedLiftedDiagonal(const LowRankFactor& factor,
-                              const Vector& eigenvalues,
-                              const Matrix& dual_vectors,
-                              const Vector& weights) {
-  const int n = factor.ground_size();
-  Vector diag(n);
-  const std::vector<int> cols = PositiveWeightCols(weights);
-  if (cols.empty()) return diag;
-  const Matrix lifted =
-      factor.LiftEigenvectors(eigenvalues, dual_vectors, cols);
-  for (int r = 0; r < n; ++r) {
-    double s = 0.0;
-    for (size_t c = 0; c < cols.size(); ++c) {
-      const double u = lifted(r, static_cast<int>(c));
-      s += weights[cols[c]] * u * u;
-    }
-    diag[r] = s;
-  }
-  return diag;
-}
-
 }  // namespace lkpdpp

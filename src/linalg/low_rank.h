@@ -10,33 +10,20 @@
 // That turns the O(n^3) eigendecomposition the serving path pays per cold
 // kernel into an O(n d^2) Gram product plus an O(d^3) eigensolve, and
 // exact k-DPP sampling into O(n d k) per draw — without ever
-// materializing the n x n kernel. Dpp::CreateDual / KDpp::CreateDual
-// consume this representation; the serving layer builds it whenever the
-// conditioned kernel advertises an exact factor.
+// materializing the n x n kernel. KernelSpectrum::FromFactor
+// (linalg/spectrum.h) consumes this representation for Dpp::CreateDual /
+// KDpp::CreateDual; the serving layer builds it whenever the conditioned
+// kernel advertises an exact factor.
 //
 // Conditioning composes in the dual: extracting a candidate pool is a row
 // subset of V, and quality conditioning Diag(q) L Diag(q) is a row
 // scaling of V — both O(n d) updates instead of an n x n rebuild.
 //
-// Factor-plus-diagonal extension (V·Vᵀ + D). Blended serving kernels
-// add a diagonal the factor cannot absorb: L = α·V·Vᵀ + δ·I shifts the
-// whole spectrum, λ_i(L) = α·λ_i(V·Vᵀ) + δ, including the (n - d)
-// padded zeros — which become δ > 0, so the padding argument that made
-// the d-eigenvalue dual ESP tables exact (zero eigenvalues contribute
-// nothing) no longer applies, and after the outer Diag(q) scaling the
-// shift is not even spectral (Diag(q)(α·V·Vᵀ + δ·I)Diag(q) =
-// α·(Diag(q)V)(Diag(q)V)ᵀ + δ·Diag(q²), a NON-scalar diagonal). Exact
-// dual *eigendecomposition* of a blended kernel therefore stays out of
-// reach of the d x d Gram trick; what IS computable from the thin
-// factor alone is every kernel ENTRY —
-//   L(i,j) = q_i·(α·<v_i, v_j> + δ·1[i=j])·q_j
-// at O(d) each via RowDot/RowDots below. That is all greedy MAP
-// inference reads, which is why linalg/kernel_rep.h's
-// FactorDiagKernelRep serves blended kernels thin in MAP mode. Blended
-// sampling materializes the kernel and eigendecomposes it primally: an
-// exact W·Wᵀ + D eigensolver (inertia bisection on the d x d
-// capacitance) measured slower than the O(n³) primal build at every
-// serving shape, so only α == 1 sampling takes the dual route above.
+// Blended serving kernels Diag(q)(α·V·Vᵀ + δ·I)Diag(q) add a diagonal
+// the factor cannot absorb, so they have no d x d dual spectrum. Every
+// kernel ENTRY is still computable from the thin factor at O(d) via
+// RowDot/RowDots below, which is all greedy MAP reads
+// (linalg/kernel_rep.h's FactorDiagKernelRep).
 
 #ifndef LKPDPP_LINALG_LOW_RANK_H_
 #define LKPDPP_LINALG_LOW_RANK_H_
@@ -69,7 +56,7 @@ struct DualEigen {
 class LowRankFactor {
  public:
   /// Empty (0 x 0) placeholder, used where a factor slot may be unfilled
-  /// (e.g. a primal-mode Dpp). Create() never returns one.
+  /// (e.g. a primal-mode KernelSpectrum). Create() never returns one.
   LowRankFactor() = default;
 
   /// Wraps an n x d factor. Fails on empty or non-finite input, or d < 1.
@@ -134,25 +121,6 @@ class LowRankFactor {
   explicit LowRankFactor(Matrix v) : v_(std::move(v)) {}
   Matrix v_;  // n x d.
 };
-
-/// Weighted outer product over lifted eigenvectors:
-///   sum_{c : weights[c] > 0} weights[c] * u_c u_c^T   (n x n),
-/// where u_c is the lift of dual eigenvector c. This is the dual-mode
-/// assembly shared by DPP/k-DPP marginal kernels: zero-weight columns
-/// are skipped, and every positive-weight column must have a strictly
-/// positive eigenvalue (all weight functions in use vanish on zero
-/// eigenvalues). `eigenvalues`/`dual_vectors` are the pieces of a
-/// DualEigen for `factor`; `weights` has one entry per dual column.
-Matrix WeightedLiftedOuter(const LowRankFactor& factor,
-                           const Vector& eigenvalues,
-                           const Matrix& dual_vectors, const Vector& weights);
-
-/// diag of WeightedLiftedOuter without materializing the n x n result:
-/// out[i] = sum_{c : weights[c] > 0} weights[c] * u_c(i)^2.
-Vector WeightedLiftedDiagonal(const LowRankFactor& factor,
-                              const Vector& eigenvalues,
-                              const Matrix& dual_vectors,
-                              const Vector& weights);
 
 }  // namespace lkpdpp
 

@@ -71,7 +71,7 @@ struct ServedKernel {
   /// FactorDiagKernelRep holding just the pool's factor rows + blend
   /// scalars (O(pool * rank) memory, rows synthesized on demand).
   /// MAP-rerank mode only: sampling-mode entries keep the kernel inside
-  /// `kdpp` (kdpp->kernel()) instead of storing a second copy.
+  /// `kdpp` instead of storing a second copy.
   std::shared_ptr<const KernelRep> rep;
   /// Decomposed k-DPP over the conditioned kernel (sampling mode only;
   /// null for MAP rerank, which needs no eigendecomposition). May be a
@@ -81,9 +81,8 @@ struct ServedKernel {
   /// service's cache can hold a mix when pool sizes straddle the factor
   /// rank. Both kinds ride the same versioned invalidation below.
   std::shared_ptr<const KDpp> kdpp;
-  /// The serve path whose builder produced this entry, after the
-  /// approximate-source budget gate. Value-initialized to
-  /// ServePath::kPrimal.
+  /// The serve path whose builder produced this entry.
+  /// Value-initialized to ServePath::kPrimal.
   ServePath path{};
   /// The model_version epoch the kernel was computed under (stamped by
   /// the service's builder). Targeted invalidation keeps entries from

@@ -1,24 +1,13 @@
 #include "serve/kernel_source.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
-#include "kernels/nystrom.h"
-
 namespace lkpdpp {
 
-int DiversityKernelSource::ThinRank(int pool_size) const {
-  (void)pool_size;
-  return kernel_->rank();
-}
-
-Result<ServingKernelSource::ThinFactor> DiversityKernelSource::PoolFactor(
+Result<Matrix> DiversityKernelSource::PoolFactor(
     const std::vector<int>& pool) const {
-  ThinFactor out;
-  out.rows = kernel_->FactorRows(pool);
-  out.entry_error_bound = 0.0;
-  return out;
+  return kernel_->FactorRows(pool);
 }
 
 Matrix DiversityKernelSource::PoolSubmatrix(
@@ -26,28 +15,13 @@ Matrix DiversityKernelSource::PoolSubmatrix(
   return kernel_->Submatrix(pool);
 }
 
-GaussianKernelSource::GaussianKernelSource(Matrix embeddings, double sigma,
-                                           int max_rank, double tolerance)
-    : embeddings_(std::move(embeddings)),
-      sigma_(sigma),
-      max_rank_(max_rank),
-      tolerance_(tolerance) {}
+GaussianKernelSource::GaussianKernelSource(Matrix embeddings, double sigma)
+    : embeddings_(std::move(embeddings)), sigma_(sigma) {}
 
-int GaussianKernelSource::ThinRank(int pool_size) const {
-  if (max_rank_ <= 0) return 0;  // Approximation not opted into.
-  return std::min(max_rank_, pool_size);
-}
-
-Result<ServingKernelSource::ThinFactor> GaussianKernelSource::PoolFactor(
+Result<Matrix> GaussianKernelSource::PoolFactor(
     const std::vector<int>& pool) const {
-  LKP_ASSIGN_OR_RETURN(
-      NystromApproximation approx,
-      GaussianNystrom(embeddings_, pool, sigma_,
-                      ThinRank(static_cast<int>(pool.size())), tolerance_));
-  ThinFactor out;
-  out.rows = std::move(approx.factor);
-  out.entry_error_bound = approx.entry_error_bound;
-  return out;
+  (void)pool;
+  return Status::FailedPrecondition("Gaussian kernels have no thin factor");
 }
 
 Matrix GaussianKernelSource::PoolSubmatrix(

@@ -1,25 +1,18 @@
 // What the serving path needs from an item-item kernel.
 //
-// RecommendationService historically hard-wired the pre-learned
-// DiversityKernel (K = V V^T, exact factor always available). The
-// paper's E-type variants (PSE/NPSE) serve a *trainable Gaussian* kernel
-// instead — K_ij = exp(-||e_i - e_j||^2 / (2 sigma^2)) over learned
-// embeddings — which has no exact thin factor at all. This interface
-// narrows serving's dependency to the two things it actually consumes:
+// Serving reads a kernel in two ways:
 //
-//   PoolSubmatrix  — exact K_S entries for a candidate pool (the primal
-//                    build path and the differential oracle), and
-//   PoolFactor     — a pool-local factor F with K_S ~= F F^T plus a
-//                    COMPUTED entry-error bound, feeding the thin
-//                    paths (dual sampling, factor-backed MAP).
+//   PoolSubmatrix — exact K_S entries for a candidate pool (the primal
+//                   build path and the differential oracle), and
+//   PoolFactor    — an exact pool-local factor F with K_S = F F^T,
+//                   feeding the thin paths (dual sampling, factor-backed
+//                   MAP) when ThinRank() is below the pool size.
 //
-// DiversityKernelSource is exact (bound 0, factor rows straight off the
-// trained factor). GaussianKernelSource is approximate: it builds a
-// Nystrom factor by pivoted Cholesky (kernels/nystrom.h) and reports the
-// exact residual bound, which the service compares against the
-// explicitly-opted-in ServeConfig::approx_error_budget before trusting
-// the factor; pools whose bound misses the budget fall back to the exact
-// primal build, so approximation never silently degrades a response.
+// DiversityKernelSource is the pre-learned K = V V^T, whose factor rows
+// come straight off the trained factor. GaussianKernelSource is the
+// paper's trainable Gaussian kernel (PSE/NPSE "E" variants), which has no
+// exact thin factor: it reports ThinRank() == 0, so every pool is served
+// exactly through the primal (or alpha == 0 diagonal) path.
 
 #ifndef LKPDPP_SERVE_KERNEL_SOURCE_H_
 #define LKPDPP_SERVE_KERNEL_SOURCE_H_
@@ -42,43 +35,29 @@ class ServingKernelSource {
   /// Catalog size the kernel covers.
   virtual int num_items() const = 0;
 
-  /// Rank (column count) of the factor PoolFactor would return for a
-  /// pool of this size; <= 0 when no thin factor is available. The
-  /// service's cost model compares this against the pool size.
-  virtual int ThinRank(int pool_size) const = 0;
+  /// Column count of the factor PoolFactor returns; 0 when the source
+  /// has no exact thin factor. ChooseServePath compares it against the
+  /// pool size.
+  virtual int ThinRank() const = 0;
 
-  /// True when PoolFactor reproduces PoolSubmatrix exactly (up to
-  /// round-off) — the thin paths then need no error budget.
-  virtual bool exact() const = 0;
-
-  /// A pool-local factor: rows is |pool| x r with K_S ~= rows * rows^T.
-  struct ThinFactor {
-    Matrix rows;
-    /// Computed bound on max_ij |K_ij - (rows rows^T)_ij| over the pool.
-    /// Exactly 0 for exact sources.
-    double entry_error_bound = 0.0;
-  };
-
-  /// Builds the factor for one pool. Only called when
-  /// ThinRank(pool.size()) > 0.
-  virtual Result<ThinFactor> PoolFactor(const std::vector<int>& pool)
-      const = 0;
+  /// The exact pool-local factor F (|pool| x ThinRank(), K_S = F F^T).
+  /// Only called when ThinRank() > 0.
+  virtual Result<Matrix> PoolFactor(const std::vector<int>& pool) const = 0;
 
   /// Exact principal submatrix K_S for the pool.
   virtual Matrix PoolSubmatrix(const std::vector<int>& pool) const = 0;
 };
 
-/// The pre-learned low-rank diversity kernel: exact factor rows, zero
-/// error bound. Does not own the kernel; it must outlive this source.
+/// The pre-learned low-rank diversity kernel. Does not own the kernel;
+/// it must outlive this source.
 class DiversityKernelSource : public ServingKernelSource {
  public:
   explicit DiversityKernelSource(const DiversityKernel* kernel)
       : kernel_(kernel) {}
 
   int num_items() const override { return kernel_->num_items(); }
-  int ThinRank(int pool_size) const override;
-  bool exact() const override { return true; }
-  Result<ThinFactor> PoolFactor(const std::vector<int>& pool) const override;
+  int ThinRank() const override { return kernel_->rank(); }
+  Result<Matrix> PoolFactor(const std::vector<int>& pool) const override;
   Matrix PoolSubmatrix(const std::vector<int>& pool) const override;
 
  private:
@@ -86,31 +65,21 @@ class DiversityKernelSource : public ServingKernelSource {
 };
 
 /// Trainable Gaussian kernel over item embeddings (paper's E variants),
-/// served through a per-pool Nystrom factor with a computed error bound.
-/// Owns a copy of the embeddings (a serving snapshot: training may keep
-/// mutating its own copy).
+/// K_ij = exp(-||e_i - e_j||^2 / (2 sigma^2)). Owns a copy of the
+/// embeddings (a serving snapshot: training may keep mutating its own
+/// copy).
 class GaussianKernelSource : public ServingKernelSource {
  public:
-  /// `max_rank` caps the Nystrom factor (0 disables the thin path
-  /// entirely: ThinRank then reports 0 and serving stays exact/primal).
-  /// `tolerance` stops pivoting early once the residual trace drops
-  /// below it.
-  GaussianKernelSource(Matrix embeddings, double sigma, int max_rank,
-                       double tolerance = 0.0);
+  GaussianKernelSource(Matrix embeddings, double sigma);
 
   int num_items() const override { return embeddings_.rows(); }
-  int ThinRank(int pool_size) const override;
-  bool exact() const override { return false; }
-  Result<ThinFactor> PoolFactor(const std::vector<int>& pool) const override;
+  int ThinRank() const override { return 0; }
+  Result<Matrix> PoolFactor(const std::vector<int>& pool) const override;
   Matrix PoolSubmatrix(const std::vector<int>& pool) const override;
-
-  double sigma() const { return sigma_; }
 
  private:
   Matrix embeddings_;
   double sigma_;
-  int max_rank_;
-  double tolerance_;
 };
 
 }  // namespace lkpdpp

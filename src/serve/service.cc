@@ -84,11 +84,6 @@ obs::Counter* PathTotal(ServePath path) {
   }
   return primal;
 }
-obs::Counter* ApproxFallbackTotal() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_approx_fallback_total");
-  return counter;
-}
 
 // Counts a stage failure into the by-site NumericalError counter when
 // that is what it is (other codes pass through untouched).
@@ -187,14 +182,6 @@ Status ValidateServeConfig(const ServeConfig& config) {
   if (config.parallel_grain < 0) {
     return Status::InvalidArgument("parallel_grain must be >= 0");
   }
-  if (config.approx_factor_rank < 0) {
-    return Status::InvalidArgument("approx_factor_rank must be >= 0");
-  }
-  if (!(config.approx_error_budget >= 0.0) ||
-      !std::isfinite(config.approx_error_budget)) {
-    return Status::InvalidArgument(
-        "approx_error_budget must be finite and >= 0");
-  }
   return Status::OK();
 }
 
@@ -246,9 +233,12 @@ RecommendationService::CreateGaussian(const Dataset* dataset, RecModel* model,
         StrFormat("embeddings cover %d items but dataset has %d",
                   item_embeddings.rows(), dataset->num_items()));
   }
+  if (!item_embeddings.AllFinite()) {
+    return Status::InvalidArgument("item embeddings must be finite");
+  }
   model->PrepareForEval();
   auto source = std::make_unique<GaussianKernelSource>(
-      std::move(item_embeddings), sigma, config.approx_factor_rank);
+      std::move(item_embeddings), sigma);
   return std::unique_ptr<RecommendationService>(new RecommendationService(
       dataset, model, std::move(source), pool, config));
 }
@@ -397,21 +387,7 @@ Result<RecommendationService::UserWork> RecommendationService::PrepareUser(
     auto built = std::make_shared<ServedKernel>();
     built->items = work.pool;
     built->model_version = model_version();
-    built->path =
-        ChooseServePath(config_, pool_size, source_->ThinRank(pool_size));
-    // Approximate sources pass a per-pool gate: a thin path uses the
-    // factor only when its computed entry-error bound fits the opted-in
-    // budget, else the pool is demoted to the exact primal build.
-    ServingKernelSource::ThinFactor thin;
-    if (built->path == ServePath::kFactorMap ||
-        built->path == ServePath::kDualSample) {
-      LKP_ASSIGN_OR_RETURN(thin, source_->PoolFactor(work.pool));
-      if (!source_->exact() &&
-          !(thin.entry_error_bound <= config_.approx_error_budget)) {
-        ApproxFallbackTotal()->Inc();
-        built->path = ServePath::kPrimal;
-      }
-    }
+    built->path = ChooseServePath(config_, pool_size, source_->ThinRank());
     PathTotal(built->path)->Inc();
     if (config_.mode == ServeMode::kMapRerank) EigSkippedTotal()->Inc();
 
@@ -421,14 +397,16 @@ Result<RecommendationService::UserWork> RecommendationService::PrepareUser(
         break;
       }
       case ServePath::kFactorMap: {
+        LKP_ASSIGN_OR_RETURN(Matrix rows, source_->PoolFactor(work.pool));
         LKP_ASSIGN_OR_RETURN(
-            built->rep, BuildFactorMap(std::move(thin.rows), quality, alpha));
+            built->rep, BuildFactorMap(std::move(rows), quality, alpha));
         break;
       }
       case ServePath::kDualSample: {
+        LKP_ASSIGN_OR_RETURN(Matrix rows, source_->PoolFactor(work.pool));
         LKP_ASSIGN_OR_RETURN(
             built->kdpp,
-            BuildDualSample(std::move(thin.rows), quality, effective_k));
+            BuildDualSample(std::move(rows), quality, effective_k));
         break;
       }
       case ServePath::kPrimal: {

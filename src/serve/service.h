@@ -93,10 +93,9 @@ const char* ServeModeName(ServeMode mode);
 
 /// Which kernel representation actually served a request. The thin
 /// representations (everything except kPrimal) never materialize the
-/// pool x pool kernel; all are exact except that approximate sources
-/// (GaussianKernelSource) may back the factor paths within the
-/// configured error budget. The numbering and ServePathName's names are
-/// a stable external contract (metric labels, benchmark reports).
+/// pool x pool kernel; all are exact. The numbering and ServePathName's
+/// names are a stable external contract (metric labels, benchmark
+/// reports).
 enum class ServePath {
   kPrimal,            ///< Materialized conditioned kernel.
   kDualSample,        ///< Low-rank dual k-DPP (sampling, alpha == 1).
@@ -136,17 +135,6 @@ struct ServeConfig {
   int parallel_grain = 0;
   /// Master seed for sampling-mode Rng streams.
   uint64_t seed = 0x5EEDF00DULL;
-  /// Approximate kernel sources only (e.g. GaussianKernelSource): cap on
-  /// the Nystrom factor rank the source may build per pool. 0 (default)
-  /// disables approximation entirely — approximate sources then always
-  /// serve through the exact primal build. Setting it > 0 is the
-  /// explicit opt-in to approximate factors. Exact sources ignore it.
-  int approx_factor_rank = 0;
-  /// Approximate kernel sources only: a pool's Nystrom factor is used
-  /// only when its computed entry-error bound is <= this budget;
-  /// otherwise the pool falls back to the exact primal build (counted in
-  /// lkp_serve_approx_fallback_total).
-  double approx_error_budget = 1e-6;
   /// Disables every thin-representation path: sampling-mode kernels are
   /// materialized and eigendecomposed primally even at alpha == 1 with a
   /// thin factor, and MAP-rerank kernels are materialized instead of
@@ -175,9 +163,7 @@ struct ServeConfig {
 ///                otherwise                -> kPrimal
 /// Blended 0 < alpha < 1 sampling is primal: the identity blend rules
 /// out the dual, and at serving pool sizes the primal build is the
-/// fastest exact one. At build time an approximate source's factor may
-/// still demote a thin choice to kPrimal when its error bound exceeds
-/// approx_error_budget.
+/// fastest exact one.
 ServePath ChooseServePath(const ServeConfig& config, int pool_size,
                           int thin_rank);
 
@@ -211,10 +197,9 @@ class RecommendationService {
 
   /// Serves a trainable Gaussian kernel (paper's PSE/NPSE "E" variants)
   /// over the given item embeddings instead of a pre-learned diversity
-  /// kernel. The embeddings are snapshotted (copied). Thin serving paths
-  /// require the explicit approximation opt-in
-  /// (ServeConfig::approx_factor_rank > 0) and honor
-  /// approx_error_budget; otherwise every pool is served exactly.
+  /// kernel. The embeddings are snapshotted (copied) and must be finite.
+  /// A Gaussian kernel has no exact thin factor, so every pool is served
+  /// through kPrimal (or kDiagMap for MAP at alpha == 0).
   static Result<std::unique_ptr<RecommendationService>> CreateGaussian(
       const Dataset* dataset, RecModel* model, Matrix item_embeddings,
       double sigma, ThreadPool* pool, ServeConfig config);

@@ -1,6 +1,5 @@
-// Tests for the diversity kernels (Eq. 3 trainer, Gaussian E-type), the
-// quality-diversity assembly (Eq. 2), and the Nystrom factors Gaussian
-// kernels are served through.
+// Tests for the diversity kernels (Eq. 3 trainer, Gaussian E-type) and
+// the quality-diversity assembly (Eq. 2).
 
 #include <gtest/gtest.h>
 
@@ -13,10 +12,8 @@
 #include "data/synthetic.h"
 #include "kernels/diversity_kernel.h"
 #include "kernels/gaussian_embedding.h"
-#include "kernels/nystrom.h"
 #include "kernels/quality_diversity.h"
 #include "linalg/eigen.h"
-#include "serve/kernel_source.h"
 #include "testing_util.h"
 
 namespace lkpdpp {
@@ -242,100 +239,6 @@ TEST(ConfigValidationTest, TrainConfigRejectsNonFiniteRates) {
   cfg.learning_rate = 0.05;
   cfg.jitter = std::numeric_limits<double>::infinity();
   EXPECT_FALSE(DiversityKernel::Train(dataset, cfg).ok());
-}
-
-// ---------------------------------------------------------------------
-// Nystrom approximation: computed error bounds
-
-TEST(NystromTest, FullRankReconstructsExactly) {
-  Rng rng(19);
-  const int n = 12;
-  const Matrix k = testutil::RandomCorrelationKernel(n, &rng);
-  auto approx = PivotedCholeskyApproximation(
-      n, n, 0.0, [&](int i, int j) { return k(i, j); });
-  ASSERT_TRUE(approx.ok()) << approx.status().ToString();
-  EXPECT_LE(approx->trace_error_bound, 1e-8);
-  const Matrix rebuilt = MatMulTransB(approx->factor, approx->factor);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      EXPECT_NEAR(rebuilt(i, j), k(i, j), 1e-7) << "(" << i << "," << j
-                                                << ")";
-    }
-  }
-}
-
-TEST(NystromTest, TruncatedBoundsAreValid) {
-  Rng rng(29);
-  const int n = 16;
-  const Matrix k = testutil::RandomCorrelationKernel(n, &rng);
-  for (int max_rank : {2, 4, 8}) {
-    auto approx = PivotedCholeskyApproximation(
-        n, max_rank, 0.0, [&](int i, int j) { return k(i, j); });
-    ASSERT_TRUE(approx.ok());
-    EXPECT_LE(approx->factor.cols(), max_rank);
-    const Matrix rebuilt = MatMulTransB(approx->factor, approx->factor);
-    double max_err = 0.0;
-    double trace_err = 0.0;
-    for (int i = 0; i < n; ++i) {
-      trace_err += k(i, i) - rebuilt(i, i);
-      for (int j = 0; j < n; ++j) {
-        max_err = std::max(max_err, std::fabs(k(i, j) - rebuilt(i, j)));
-      }
-    }
-    // The computed bounds are exact identities of the partial Cholesky;
-    // allow round-off slack only.
-    EXPECT_LE(max_err, approx->entry_error_bound + 1e-9)
-        << "max_rank=" << max_rank;
-    EXPECT_LE(std::fabs(trace_err - approx->trace_error_bound), 1e-8);
-    // Bounds shrink (weakly) as rank grows.
-  }
-}
-
-TEST(NystromTest, GaussianNystromMatchesExactSubmatrix) {
-  Rng rng(31);
-  const Matrix embeddings = testutil::RandomMatrix(30, 5, &rng);
-  const std::vector<int> pool{2, 5, 9, 11, 14, 17, 20, 23, 26, 29};
-  const double sigma = 1.5;
-  GaussianKernelSource source(embeddings, sigma, /*max_rank=*/10);
-  const Matrix exact = source.PoolSubmatrix(pool);
-  EXPECT_EQ(exact.rows(), 10);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(exact(i, i), 1.0);
-  // Full-rank Nystrom reconstructs the exact submatrix.
-  auto approx = GaussianNystrom(embeddings, pool, sigma, 10, 0.0);
-  ASSERT_TRUE(approx.ok()) << approx.status().ToString();
-  const Matrix rebuilt = MatMulTransB(approx->factor, approx->factor);
-  for (int i = 0; i < 10; ++i) {
-    for (int j = 0; j < 10; ++j) {
-      EXPECT_NEAR(rebuilt(i, j), exact(i, j), 1e-8);
-    }
-  }
-  // Truncated Nystrom honors its own computed bound.
-  auto truncated = GaussianNystrom(embeddings, pool, sigma, 4, 0.0);
-  ASSERT_TRUE(truncated.ok());
-  const Matrix coarse = MatMulTransB(truncated->factor, truncated->factor);
-  for (int i = 0; i < 10; ++i) {
-    for (int j = 0; j < 10; ++j) {
-      EXPECT_LE(std::fabs(coarse(i, j) - exact(i, j)),
-                truncated->entry_error_bound + 1e-9);
-    }
-  }
-  EXPECT_GT(truncated->entry_error_bound, 0.0);
-}
-
-TEST(NystromTest, RejectsBadArguments) {
-  EXPECT_FALSE(PivotedCholeskyApproximation(0, 4, 0.0, nullptr).ok());
-  EXPECT_FALSE(
-      PivotedCholeskyApproximation(4, 0, 0.0, [](int, int) { return 1.0; })
-          .ok());
-  EXPECT_FALSE(PivotedCholeskyApproximation(
-                   4, 2, std::numeric_limits<double>::quiet_NaN(),
-                   [](int, int) { return 1.0; })
-                   .ok());
-  Rng rng(7);
-  const Matrix e = testutil::RandomMatrix(6, 3, &rng);
-  EXPECT_FALSE(GaussianNystrom(e, {0, 1}, 0.0, 2, 0.0).ok());
-  EXPECT_FALSE(GaussianNystrom(e, {0, 9}, 1.0, 2, 0.0).ok());
-  EXPECT_FALSE(GaussianNystrom(e, {}, 1.0, 2, 0.0).ok());
 }
 
 }  // namespace

@@ -266,7 +266,6 @@ TEST(KernelRepTest, PrimalViewAndOwnedAgree) {
   const PrimalKernelRep view = PrimalKernelRep::View(kernel);
   ASSERT_EQ(owned.size(), 5);
   ASSERT_EQ(view.size(), 5);
-  EXPECT_EQ(owned.kind(), KernelRepKind::kPrimal);
   std::vector<double> a(5), b(5);
   for (int j = 0; j < 5; ++j) {
     owned.FillRow(j, a.data());
@@ -316,12 +315,6 @@ TEST(KernelRepTest, DiagRepMatchesMaterializedAlphaZeroBitExactly) {
     ASSERT_TRUE(from_primal.ok());
     EXPECT_EQ(*from_diag, *from_primal) << "n = " << n;
   }
-}
-
-TEST(KernelRepTest, KindNamesAreStable) {
-  EXPECT_STREQ(KernelRepKindName(KernelRepKind::kPrimal), "primal");
-  EXPECT_STREQ(KernelRepKindName(KernelRepKind::kFactorDiag), "factor_diag");
-  EXPECT_STREQ(KernelRepKindName(KernelRepKind::kDiag), "diag");
 }
 
 TEST(KernelRepTest, CreateValidationErrors) {

@@ -1627,88 +1627,87 @@ TEST(ConfigValidationTest, ServeConfigRejectsNonFiniteFields) {
   cfg = SampleConfig(0.5);
   cfg.batch_deadline_ms = inf;
   EXPECT_FALSE(create(cfg));
-  cfg = SampleConfig(0.5);
-  cfg.approx_error_budget = nan;
-  EXPECT_FALSE(create(cfg));
-  cfg = SampleConfig(0.5);
-  cfg.approx_factor_rank = -1;
-  EXPECT_FALSE(create(cfg));
   EXPECT_TRUE(create(SampleConfig(0.5)));
 }
 
 // ---------------------------------------------------------------------
-// Approximate (Nystrom) factors for Gaussian kernels: the serving budget
-// gate
+// Gaussian kernels: no exact thin factor, so only exact paths serve them
 
-TEST(GaussianServeTest, ApproximationIsOptInAndBudgetGated) {
+// Every mode and blend alpha serves on diag_map (MAP at alpha == 0) or
+// primal, with the items a force_primal service returns.
+TEST(GaussianServeTest, ServesOnlyExactPaths) {
   ServeWorld* w = World();
   Rng rng(41);
-  Matrix embeddings =
+  const Matrix embeddings =
       testutil::RandomMatrix(w->dataset.num_items(), 6, &rng);
-  obs::Counter* fallback = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_approx_fallback_total");
-
-  // Default config (approx_factor_rank == 0): approximation disabled,
-  // every pool serves exactly through the primal path.
-  {
+  struct Case {
+    ServeMode mode;
+    double alpha;
+  };
+  for (const Case& c : {Case{ServeMode::kMapRerank, 0.0},
+                        Case{ServeMode::kMapRerank, 0.4},
+                        Case{ServeMode::kMapRerank, 1.0},
+                        Case{ServeMode::kSample, 0.4},
+                        Case{ServeMode::kSample, 1.0}}) {
+    ServeConfig cfg = BaseConfig(c.mode);
+    cfg.kernel_blend_alpha = c.alpha;
+    ServeConfig primal_cfg = cfg;
+    primal_cfg.force_primal = true;
     auto service = RecommendationService::CreateGaussian(
+        &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr, cfg);
+    auto oracle = RecommendationService::CreateGaussian(
         &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
-        SampleConfig(0.5));
+        primal_cfg);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
-    auto responses = (*service)->HandleBatch(RoundRobinBatch(12, 0));
-    ASSERT_TRUE(responses.ok()) << responses.status().ToString();
-    for (const RecResponse& r : *responses) {
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    auto got = (*service)->HandleBatch(RoundRobinBatch(12, 0));
+    auto want = (*oracle)->HandleBatch(RoundRobinBatch(12, 0));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_EQ(got->size(), want->size());
+    const ServePath expected =
+        c.mode == ServeMode::kMapRerank && c.alpha == 0.0
+            ? ServePath::kDiagMap
+            : ServePath::kPrimal;
+    for (size_t i = 0; i < got->size(); ++i) {
+      const RecResponse& r = (*got)[i];
+      EXPECT_EQ(r.items, (*want)[i].items)
+          << ServeModeName(c.mode) << " alpha=" << c.alpha << " i=" << i;
       if (r.items.empty()) continue;
-      EXPECT_EQ(r.path, ServePath::kPrimal);
+      EXPECT_EQ(r.path, expected)
+          << ServeModeName(c.mode) << " alpha=" << c.alpha << " served on "
+          << ServePathName(r.path);
     }
   }
+}
 
-  // Opt in with a generous budget: factor-backed (dual) sampling
-  // engages.
-  {
-    ServeConfig cfg = SampleConfig(1.0);
-    cfg.approx_factor_rank = 6;
-    cfg.approx_error_budget = 1.0;  // Gaussian entries are <= 1 anyway.
-    auto service = RecommendationService::CreateGaussian(
-        &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
-        cfg);
-    ASSERT_TRUE(service.ok());
-    auto responses = (*service)->HandleBatch(RoundRobinBatch(12, 0));
-    ASSERT_TRUE(responses.ok()) << responses.status().ToString();
-    bool engaged = false;
-    for (const RecResponse& r : *responses) {
-      engaged = engaged || r.path == ServePath::kDualSample;
-    }
-    EXPECT_TRUE(engaged) << "approximate factor never engaged";
+// Regression: a NaN embedding column used to be accepted, after which
+// MAP lists degraded to one greedy pick plus score-order backfill and
+// every sampling batch failed with NumericalError.
+TEST(GaussianServeTest, RejectsNonFiniteEmbeddings) {
+  ServeWorld* w = World();
+  Rng rng(43);
+  const Matrix clean =
+      testutil::RandomMatrix(w->dataset.num_items(), 6, &rng);
+  Matrix nan_column = clean;
+  for (int i = 0; i < nan_column.rows(); ++i) {
+    nan_column(i, 2) = std::numeric_limits<double>::quiet_NaN();
   }
-
-  // Opt in with an impossible budget: every pool falls back to the
-  // exact primal build, the fallback counter says so, and the responses
-  // are bit-identical to the never-opted-in service.
-  {
-    ServeConfig cfg = SampleConfig(1.0);
-    cfg.approx_factor_rank = 4;
-    cfg.approx_error_budget = 0.0;
-    auto gated = RecommendationService::CreateGaussian(
-        &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
-        cfg);
-    auto exact = RecommendationService::CreateGaussian(
-        &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
-        SampleConfig(1.0));
-    ASSERT_TRUE(gated.ok());
-    ASSERT_TRUE(exact.ok());
-    const long before = fallback->Value();
-    auto rg = (*gated)->HandleBatch(RoundRobinBatch(12, 0));
-    auto re = (*exact)->HandleBatch(RoundRobinBatch(12, 0));
-    ASSERT_TRUE(rg.ok());
-    ASSERT_TRUE(re.ok());
-    EXPECT_GT(fallback->Value(), before);
-    for (size_t i = 0; i < rg->size(); ++i) {
-      EXPECT_EQ((*rg)[i].path, ServePath::kPrimal);
-      EXPECT_EQ((*rg)[i].items, (*re)[i].items)
-          << "budget fallback changed a response";
+  Matrix inf_entry = clean;
+  inf_entry(7, 0) = std::numeric_limits<double>::infinity();
+  for (ServeMode mode : {ServeMode::kMapRerank, ServeMode::kSample}) {
+    for (const Matrix* embeddings : {&nan_column, &inf_entry}) {
+      auto service = RecommendationService::CreateGaussian(
+          &w->dataset, w->model.get(), Matrix(*embeddings), 1.5, nullptr,
+          BaseConfig(mode));
+      ASSERT_FALSE(service.ok()) << ServeModeName(mode);
+      EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
     }
   }
+  EXPECT_TRUE(RecommendationService::CreateGaussian(
+                  &w->dataset, w->model.get(), Matrix(clean), 1.5, nullptr,
+                  BaseConfig(ServeMode::kSample))
+                  .ok());
 }
 
 }  // namespace
