@@ -91,40 +91,4 @@ double FactorDiagKernelRep::Entry(int i, int j) const {
   return (scale_[i] * t) * scale_[j];
 }
 
-Result<DiagKernelRep> DiagKernelRep::Create(Vector scale, double delta) {
-  if (scale.size() < 1) {
-    return Status::InvalidArgument("diag kernel rep needs >= 1 row");
-  }
-  if (!(delta >= 0.0) || !std::isfinite(delta)) {
-    return Status::InvalidArgument(
-        StrFormat("delta=%.3g must be finite and >= 0 to keep the kernel "
-                  "PSD",
-                  delta));
-  }
-  if (!scale.AllFinite()) {
-    return Status::NumericalError("kernel rep scale has non-finite entries");
-  }
-  return DiagKernelRep(std::move(scale), delta);
-}
-
-// The (s_i * delta) * s_i grouping mirrors AssembleKernel's
-// q_i * blended * q_j (left-to-right) with blended == ±0 + delta ==
-// delta; see the class comment for why this is bit-exact vs primal.
-
-void DiagKernelRep::FillDiag(double* out) const {
-  const int n = size();
-  for (int i = 0; i < n; ++i) out[i] = (scale_[i] * delta_) * scale_[i];
-}
-
-void DiagKernelRep::FillRow(int j, double* out) const {
-  const int n = size();
-  for (int i = 0; i < n; ++i) out[i] = 0.0;
-  out[j] = (scale_[j] * delta_) * scale_[j];
-}
-
-double DiagKernelRep::Entry(int i, int j) const {
-  if (i != j) return 0.0;
-  return (scale_[i] * delta_) * scale_[i];
-}
-
 }  // namespace lkpdpp

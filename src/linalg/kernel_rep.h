@@ -134,39 +134,6 @@ class FactorDiagKernelRep final : public KernelRep {
   double delta_ = 0.0;
 };
 
-/// KernelRep for the degenerate blend alpha == 0: L = Diag(s) (delta·I)
-/// Diag(s), a pure diagonal. O(n) memory, no factor gather, no
-/// materialization. Diagonal entries use the primal pipeline's exact
-/// arithmetic — (s_i · delta) · s_i bit-matches AssembleKernel's
-/// q_i * (0·K_ii + delta) * q_i because ±0.0 + delta == delta and
-/// q_i * 1.0 == q_i exactly in IEEE-754. Off-diagonals return +0.0 where
-/// the primal materialization can carry ±0.0 (sign of 0·K_ij·q_i·q_j);
-/// the sign of an exact zero never changes a greedy-MAP branch (zeros
-/// enter only as c² = +0.0 updates and ±0 dot terms), so selections
-/// still pin bit-identical against the forced-primal oracle.
-class DiagKernelRep final : public KernelRep {
- public:
-  /// `scale` (length n) is the per-row outer scaling (quality); `delta`
-  /// the diagonal shift, >= 0 and finite so L stays PSD. Fails on empty
-  /// or non-finite inputs.
-  static Result<DiagKernelRep> Create(Vector scale, double delta);
-
-  int size() const override { return scale_.size(); }
-  void FillDiag(double* out) const override;
-  void FillRow(int j, double* out) const override;
-  double Entry(int i, int j) const override;
-
-  const Vector& scale() const { return scale_; }
-  double delta() const { return delta_; }
-
- private:
-  DiagKernelRep(Vector scale, double delta)
-      : scale_(std::move(scale)), delta_(delta) {}
-
-  Vector scale_;  // s: length n.
-  double delta_ = 1.0;
-};
-
 }  // namespace lkpdpp
 
 #endif  // LKPDPP_LINALG_KERNEL_REP_H_

@@ -1,12 +1,13 @@
-// Sharded LRU memoization of per-(user, ground set) serving kernels.
+// Sharded LRU memoization of per-(user, ground set) serving work.
 //
-// Building a personalized k-DPP over a candidate pool costs an O(n^3)
-// eigendecomposition plus the ESP table (the hot path the ROADMAP flags).
-// For a fixed trained model the conditioned kernel is a pure function of
-// (user, ground set), so repeat requests can skip all of it. The cache
-// stores the assembled quality x diversity kernel and, for sampling mode,
-// the fully decomposed KDpp (eigenpairs + ESP table) behind shared_ptr,
-// so an entry evicted mid-request stays alive for its readers.
+// For a fixed trained model, everything the service derives from a
+// candidate pool is a pure function of (user, ground set), so repeat
+// requests reuse it instead of rebuilding. What an entry holds depends
+// on the serve mode: a MAP-rerank entry stores its answer (the greedy
+// selection, computed once at build time), and a sampling entry stores
+// the decomposed KDpp (eigenpairs + ESP table) it draws from. Entries
+// sit behind shared_ptr, so one evicted mid-request stays alive for its
+// readers.
 //
 // Concurrency: the table is lock-striped into N independent shards, each
 // with its own mutex, LRU list, and counters, so concurrent lookups on
@@ -18,7 +19,7 @@
 // with NO shard lock held, and a per-key in-flight guard makes
 // concurrent misses on the same key compute once — the first caller
 // builds, the rest block on the guard and share the result instead of
-// duplicating (or serializing under a held lock) the O(n^3) work.
+// duplicating (or serializing under a held lock) the build.
 //
 // Invalidation: entries are valid only for the model snapshot they were
 // computed under, and every ServedKernel carries the model_version epoch
@@ -51,8 +52,6 @@
 
 #include "common/result.h"
 #include "core/kdpp.h"
-#include "linalg/kernel_rep.h"
-#include "linalg/matrix.h"
 #include "obs/metrics.h"
 
 namespace lkpdpp {
@@ -61,18 +60,15 @@ enum class ServePath;  // Defined in serve/service.h.
 
 /// Everything reusable about one (user, ground set) pair.
 struct ServedKernel {
-  /// The exact ground set this kernel was built for. Consumers compare
+  /// The exact ground set this entry was built for. Consumers compare
   /// this against their pool on a cache hit, so a 64-bit hash collision
-  /// costs one rebuild instead of silently serving the wrong kernel.
+  /// costs one rebuild instead of silently serving the wrong entry.
   std::vector<int> items;
-  /// Conditioned kernel L = Diag(q) (alpha*K + (1-alpha)*I) Diag(q) over
-  /// the pool, in pool-local indices, behind whichever KernelRep the
-  /// service's cost model picked: a materialized PrimalKernelRep, or a
-  /// FactorDiagKernelRep holding just the pool's factor rows + blend
-  /// scalars (O(pool * rank) memory, rows synthesized on demand).
-  /// MAP-rerank mode only: sampling-mode entries keep the kernel inside
-  /// `kdpp` instead of storing a second copy.
-  std::shared_ptr<const KernelRep> rep;
+  /// MAP-rerank mode only: the served list as pool-local indices into
+  /// `items`, in selection order — greedy MAP over the conditioned
+  /// kernel L = Diag(q) (alpha*K + (1-alpha)*I) Diag(q), backfilled in
+  /// score order to min(top_k, |items|) entries. Empty in sampling mode.
+  std::vector<int> selection;
   /// Decomposed k-DPP over the conditioned kernel (sampling mode only;
   /// null for MAP rerank, which needs no eigendecomposition). May be a
   /// primal k-DPP (n x n kernel + eigendecomposition) or, at alpha == 1
@@ -84,7 +80,7 @@ struct ServedKernel {
   /// The serve path whose builder produced this entry.
   /// Value-initialized to ServePath::kPrimal.
   ServePath path{};
-  /// The model_version epoch the kernel was computed under (stamped by
+  /// The model_version epoch the entry was computed under (stamped by
   /// the service's builder). Targeted invalidation keeps entries from
   /// ever being SERVED stale, so a surviving entry's stamp only says how
   /// old its (still valid) inputs are — observability, not correctness.
@@ -127,7 +123,7 @@ class KernelCache {
   /// propagate to the owner and every waiter, and nothing is cached.
   /// `was_hit`, when non-null, reports whether the entry came from the
   /// cache (piggybacking on another caller's in-flight build counts as a
-  /// miss: the kernel was not in the cache when this call arrived).
+  /// miss: the entry was not in the cache when this call arrived).
   Result<std::shared_ptr<const ServedKernel>> GetOrBuild(
       int user, uint64_t ground_hash, const std::vector<int>& items,
       const Builder& build, bool* was_hit = nullptr);

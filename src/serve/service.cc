@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -10,6 +11,7 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/map_inference.h"
+#include "linalg/kernel_rep.h"
 #include "linalg/low_rank.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -20,11 +22,6 @@ namespace {
 
 // Process-wide serving metrics. Handles are resolved once per site; the
 // hot-path cost is one sharded-atomic increment (see obs/metrics.h).
-obs::Counter* EigSkippedTotal() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_kernel_cache_eig_skipped_total");
-  return counter;
-}
 obs::Gauge* ModelVersionGauge() {
   static obs::Gauge* gauge = obs::MetricsRegistry::Global().GetGauge(
       "lkp_model_version");
@@ -120,16 +117,17 @@ const char* ServePathName(ServePath path) {
   return "?";
 }
 
-RecommendationService::RecommendationService(
-    const Dataset* dataset, RecModel* model,
-    std::unique_ptr<const ServingKernelSource> source, ThreadPool* pool,
-    ServeConfig config)
+RecommendationService::RecommendationService(const Dataset* dataset,
+                                             RecModel* model,
+                                             const DiversityKernel* diversity,
+                                             ThreadPool* pool,
+                                             ServeConfig config)
     : dataset_(dataset),
       model_(model),
-      source_(std::move(source)),
+      diversity_(diversity),
       pool_(pool),
       config_(config),
-      cache_(config.cache_capacity, config.cache_shards),
+      cache_(config.cache_capacity),
       master_rng_(config.seed) {}
 
 RecommendationService::~RecommendationService() {
@@ -143,11 +141,11 @@ RecommendationService::~RecommendationService() {
 
 namespace {
 
-// Shared shape/range validation for both Create overloads. Every real-
-// valued field uses the NaN-safe form !(x >= lo && x <= hi): a plain
-// `x < lo || x > hi` passes NaN straight through (all comparisons with
-// NaN are false) and the service then silently serves garbage blends —
-// the exact bug this check replaces.
+// Shape/range validation of a ServeConfig. Every real-valued field uses
+// the NaN-safe form !(x >= lo && x <= hi): a plain `x < lo || x > hi`
+// passes NaN straight through (all comparisons with NaN are false) and
+// the service then silently serves garbage blends — the exact bug this
+// check replaces.
 Status ValidateServeConfig(const ServeConfig& config) {
   if (config.top_k < 1) {
     return Status::InvalidArgument(
@@ -167,9 +165,6 @@ Status ValidateServeConfig(const ServeConfig& config) {
   if (config.cache_capacity < 0) {
     return Status::InvalidArgument("cache_capacity must be >= 0");
   }
-  if (config.cache_shards < 1) {
-    return Status::InvalidArgument("cache_shards must be >= 1");
-  }
   if (config.max_batch_size < 1) {
     return Status::InvalidArgument(
         StrFormat("max_batch_size=%d must be >= 1", config.max_batch_size));
@@ -178,9 +173,6 @@ Status ValidateServeConfig(const ServeConfig& config) {
       !std::isfinite(config.batch_deadline_ms)) {
     return Status::InvalidArgument(
         "batch_deadline_ms must be finite and >= 0");
-  }
-  if (config.parallel_grain < 0) {
-    return Status::InvalidArgument("parallel_grain must be >= 0");
   }
   return Status::OK();
 }
@@ -206,41 +198,8 @@ Result<std::unique_ptr<RecommendationService>> RecommendationService::Create(
                   diversity->num_items(), dataset->num_items()));
   }
   model->PrepareForEval();
-  return std::unique_ptr<RecommendationService>(new RecommendationService(
-      dataset, model, std::make_unique<DiversityKernelSource>(diversity),
-      pool, config));
-}
-
-Result<std::unique_ptr<RecommendationService>>
-RecommendationService::CreateGaussian(const Dataset* dataset, RecModel* model,
-                                      Matrix item_embeddings, double sigma,
-                                      ThreadPool* pool, ServeConfig config) {
-  if (dataset == nullptr || model == nullptr) {
-    return Status::InvalidArgument("serving requires dataset and model");
-  }
-  LKP_RETURN_IF_ERROR(ValidateServeConfig(config));
-  if (!(sigma > 0.0) || !std::isfinite(sigma)) {
-    return Status::InvalidArgument(
-        StrFormat("sigma must be finite and positive, got %g", sigma));
-  }
-  if (model->num_items() != dataset->num_items()) {
-    return Status::InvalidArgument(
-        StrFormat("model covers %d items but dataset has %d",
-                  model->num_items(), dataset->num_items()));
-  }
-  if (item_embeddings.rows() != dataset->num_items()) {
-    return Status::InvalidArgument(
-        StrFormat("embeddings cover %d items but dataset has %d",
-                  item_embeddings.rows(), dataset->num_items()));
-  }
-  if (!item_embeddings.AllFinite()) {
-    return Status::InvalidArgument("item embeddings must be finite");
-  }
-  model->PrepareForEval();
-  auto source = std::make_unique<GaussianKernelSource>(
-      std::move(item_embeddings), sigma);
-  return std::unique_ptr<RecommendationService>(new RecommendationService(
-      dataset, model, std::move(source), pool, config));
+  return std::unique_ptr<RecommendationService>(
+      new RecommendationService(dataset, model, diversity, pool, config));
 }
 
 void RecommendationService::InvalidateModel() {
@@ -267,12 +226,6 @@ uint64_t RecommendationService::ApplyUpdate(const UpdateFn& mutate) {
   return version;
 }
 
-int RecommendationService::StageGrain(int n) const {
-  if (pool_ == nullptr) return 1;
-  if (config_.parallel_grain > 0) return config_.parallel_grain;
-  return pool_->GrainFor(n);
-}
-
 ServePath ChooseServePath(const ServeConfig& config, int pool_size,
                           int thin_rank) {
   if (config.force_primal) return ServePath::kPrimal;
@@ -290,36 +243,41 @@ ServePath ChooseServePath(const ServeConfig& config, int pool_size,
 
 namespace {
 
-// One builder per serve path. Each serves the conditioned kernel
-// L = Diag(q)(alpha K_S + (1 - alpha) I)Diag(q) over the pool, exactly,
-// given the pool's quality vector q.
+// The serve paths' builders, each exact for the conditioned kernel
+// L = Diag(q)(alpha K_S + (1 - alpha) I)Diag(q) over the pool, given the
+// pool's quality vector q. A MAP build ends in the selection itself; a
+// sampling build ends in the k-DPP every draw reads.
 
-// kDiagMap: at alpha == 0 the blend is Diag(q)(delta I)Diag(q), pure
-// diagonal, so neither the factor rows nor the materialized submatrix is
-// worth building. O(pool) memory, bit-identical selections vs both (see
-// DiagKernelRep).
-Result<std::shared_ptr<const KernelRep>> BuildDiagMap(const Vector& quality,
-                                                      double alpha) {
-  LKP_TRACE_SPAN("serve.diag_rep_build");
-  LKP_ASSIGN_OR_RETURN(DiagKernelRep rep,
-                       DiagKernelRep::Create(quality, 1.0 - alpha));
-  return std::shared_ptr<const KernelRep>(
-      std::make_shared<const DiagKernelRep>(std::move(rep)));
+// Greedy MAP over a pool's conditioned kernel, run once per MAP build;
+// the cache entry keeps the result. Rank-deficient pools select fewer
+// than k items, and the rest are backfilled in score order (pool index
+// order) so every response carries exactly k items.
+Result<std::vector<int>> SelectMap(const KernelRep& kernel, int k) {
+  LKP_TRACE_SPAN("serve.map_rerank");
+  GreedyMapOptions opts;
+  opts.max_size = k;
+  LKP_ASSIGN_OR_RETURN(std::vector<int> selection,
+                       GreedyMapInference(kernel, opts));
+  if (static_cast<int>(selection.size()) < k) {
+    const int n = kernel.size();
+    std::vector<bool> taken(static_cast<size_t>(n), false);
+    for (int idx : selection) taken[static_cast<size_t>(idx)] = true;
+    for (int i = 0; i < n && static_cast<int>(selection.size()) < k; ++i) {
+      if (!taken[static_cast<size_t>(i)]) selection.push_back(i);
+    }
+  }
+  return selection;
 }
 
 // kFactorMap: greedy MAP only reads entries, so the blended kernel rides
 // as factor + diagonal — O(pool * rank) to build and store versus
 // O(pool^2 * rank) to materialize.
-Result<std::shared_ptr<const KernelRep>> BuildFactorMap(Matrix factor_rows,
-                                                        const Vector& quality,
-                                                        double alpha) {
+Result<FactorDiagKernelRep> BuildFactorMap(Matrix factor_rows,
+                                           const Vector& quality,
+                                           double alpha) {
   LKP_TRACE_SPAN("serve.factor_rep_build");
-  LKP_ASSIGN_OR_RETURN(FactorDiagKernelRep rep,
-                       FactorDiagKernelRep::Create(std::move(factor_rows),
-                                                   quality, alpha,
-                                                   1.0 - alpha));
-  return std::shared_ptr<const KernelRep>(
-      std::make_shared<const FactorDiagKernelRep>(std::move(rep)));
+  return FactorDiagKernelRep::Create(std::move(factor_rows), quality, alpha,
+                                     1.0 - alpha);
 }
 
 // kDualSample: at alpha == 1 the kernel is exactly Diag(q) F F^T Diag(q),
@@ -337,12 +295,12 @@ Result<std::shared_ptr<const KDpp>> BuildDualSample(Matrix factor_rows,
 }
 
 // kPrimal, both halves: materialize L, then either eigendecompose it
-// (sampling) or hold it as-is (MAP entries never decompose).
-Matrix AssemblePrimal(const ServingKernelSource& source,
+// (sampling) or run greedy MAP over it (MAP entries never decompose).
+Matrix AssemblePrimal(const DiversityKernel& diversity,
                       const std::vector<int>& pool, const Vector& quality,
                       double alpha) {
   LKP_TRACE_SPAN("serve.kernel_assemble");
-  Matrix k_sub = source.PoolSubmatrix(pool);
+  Matrix k_sub = diversity.Submatrix(pool);
   k_sub *= alpha;
   k_sub.AddDiagonal(1.0 - alpha);
   return AssembleKernel(quality, k_sub);
@@ -387,38 +345,49 @@ Result<RecommendationService::UserWork> RecommendationService::PrepareUser(
     auto built = std::make_shared<ServedKernel>();
     built->items = work.pool;
     built->model_version = model_version();
-    built->path = ChooseServePath(config_, pool_size, source_->ThinRank());
+    built->path = ChooseServePath(config_, pool_size, diversity_->rank());
     PathTotal(built->path)->Inc();
-    if (config_.mode == ServeMode::kMapRerank) EigSkippedTotal()->Inc();
 
     switch (built->path) {
       case ServePath::kDiagMap: {
-        LKP_ASSIGN_OR_RETURN(built->rep, BuildDiagMap(quality, alpha));
+        // At alpha == 0 the kernel is Diag(q^2). Greedy MAP over a
+        // diagonal never changes a gain, so it takes items by descending
+        // q and breaks ties toward the lower index. q is positive, finite
+        // and non-decreasing in score under both quality transforms, and
+        // the pool is ordered by (score desc, id asc), so that order —
+        // and the backfill after it — is the pool's prefix.
+        if (!quality.AllFinite()) {
+          return Status::NumericalError("pool quality has non-finite entries");
+        }
+        built->selection.resize(static_cast<size_t>(effective_k));
+        std::iota(built->selection.begin(), built->selection.end(), 0);
         break;
       }
       case ServePath::kFactorMap: {
-        LKP_ASSIGN_OR_RETURN(Matrix rows, source_->PoolFactor(work.pool));
         LKP_ASSIGN_OR_RETURN(
-            built->rep, BuildFactorMap(std::move(rows), quality, alpha));
+            FactorDiagKernelRep rep,
+            BuildFactorMap(diversity_->FactorRows(work.pool), quality, alpha));
+        LKP_ASSIGN_OR_RETURN(built->selection, SelectMap(rep, effective_k));
         break;
       }
       case ServePath::kDualSample: {
-        LKP_ASSIGN_OR_RETURN(Matrix rows, source_->PoolFactor(work.pool));
         LKP_ASSIGN_OR_RETURN(
-            built->kdpp,
-            BuildDualSample(std::move(rows), quality, effective_k));
+            built->kdpp, BuildDualSample(diversity_->FactorRows(work.pool),
+                                         quality, effective_k));
         break;
       }
       case ServePath::kPrimal: {
         Matrix conditioned =
-            AssemblePrimal(*source_, work.pool, quality, alpha);
+            AssemblePrimal(*diversity_, work.pool, quality, alpha);
         if (config_.mode == ServeMode::kSample) {
           LKP_ASSIGN_OR_RETURN(
               built->kdpp,
               BuildPrimalSample(std::move(conditioned), effective_k));
         } else {
-          built->rep = std::make_shared<const PrimalKernelRep>(
-              std::move(conditioned));
+          LKP_ASSIGN_OR_RETURN(
+              built->selection,
+              SelectMap(PrimalKernelRep(std::move(conditioned)),
+                        effective_k));
         }
         break;
       }
@@ -446,41 +415,18 @@ Result<RecResponse> RecommendationService::SelectTopK(int user,
     return response;
   }
   response.path = work.entry->path;
-  const int effective_k =
-      std::min(config_.top_k, static_cast<int>(work.pool.size()));
 
-  std::vector<int> local;
-  switch (config_.mode) {
-    case ServeMode::kMapRerank: {
-      LKP_TRACE_SPAN("serve.map_rerank");
-      GreedyMapOptions opts;
-      opts.max_size = effective_k;
-      LKP_ASSIGN_OR_RETURN(local,
-                           GreedyMapInference(*work.entry->rep, opts));
-      if (static_cast<int>(local.size()) < effective_k) {
-        // Rank-deficient corner: backfill by score order so every
-        // response still carries exactly effective_k items.
-        std::vector<bool> taken(work.pool.size(), false);
-        for (int idx : local) taken[static_cast<size_t>(idx)] = true;
-        for (size_t i = 0;
-             i < work.pool.size() &&
-             static_cast<int>(local.size()) < effective_k;
-             ++i) {
-          if (!taken[i]) local.push_back(static_cast<int>(i));
-        }
-      }
-      break;
-    }
-    case ServeMode::kSample: {
-      LKP_TRACE_SPAN("serve.sample");
-      // Ascending pool-local indices == descending score, since the pool
-      // is built in descending-score order.
-      LKP_ASSIGN_OR_RETURN(local, work.entry->kdpp->Sample(rng));
-      break;
-    }
+  const std::vector<int>* local = &work.entry->selection;
+  std::vector<int> sampled;
+  if (config_.mode == ServeMode::kSample) {
+    LKP_TRACE_SPAN("serve.sample");
+    // Ascending pool-local indices == descending score, since the pool
+    // is built in descending-score order.
+    LKP_ASSIGN_OR_RETURN(sampled, work.entry->kdpp->Sample(rng));
+    local = &sampled;
   }
-  response.items.reserve(local.size());
-  for (int idx : local) {
+  response.items.reserve(local->size());
+  for (int idx : *local) {
     response.items.push_back(work.pool[static_cast<size_t>(idx)]);
   }
   // A request's latency is its user's kernel stage plus its own
@@ -526,11 +472,7 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
   };
   {
     LKP_TRACE_SPAN("serve.score");
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(num_unique, StageGrain(num_unique), score_user);
-    } else {
-      for (int i = 0; i < num_unique; ++i) score_user(i);
-    }
+    ParallelForOrSerial(pool_, num_unique, /*min_grain=*/1, score_user);
   }
 
   // Stage 2: fork one Rng per request in request order. Fork order is
@@ -546,11 +488,11 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
     }
   }
 
-  // Stage 3: kernel work once per unique user — duplicate requests for
-  // a user share the O(n^3) build even when the cache is cold or off
-  // (and, through the cache's in-flight guard, even across concurrent
-  // batches). Grain stays 1: per-user cost is large and uneven (hit vs
-  // O(n^3) miss), so fine-grained claiming balances best.
+  // Stage 3: pool and cache entry once per unique user — duplicate
+  // requests for a user share the build even when the cache is cold or
+  // off (and, through the cache's in-flight guard, even across
+  // concurrent batches). Grain stays 1: per-user cost is large and
+  // uneven (hit vs miss), so fine-grained claiming balances best.
   std::vector<UserWork> works(unique_users.size());
   std::vector<Status> user_statuses(unique_users.size(), Status::OK());
   auto prepare_user = [&](int i) {
@@ -564,11 +506,7 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
   };
   {
     LKP_TRACE_SPAN("serve.prepare");
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(num_unique, prepare_user);
-    } else {
-      for (int i = 0; i < num_unique; ++i) prepare_user(i);
-    }
+    ParallelForOrSerial(pool_, num_unique, prepare_user);
   }
   for (const Status& s : user_statuses) {
     if (!s.ok()) return CountIfNumerical(s);
@@ -592,12 +530,7 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
   const int num_requests = static_cast<int>(batch.size());
   {
     LKP_TRACE_SPAN("serve.select");
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(num_requests, StageGrain(num_requests),
-                         serve_request);
-    } else {
-      for (int i = 0; i < num_requests; ++i) serve_request(i);
-    }
+    ParallelForOrSerial(pool_, num_requests, /*min_grain=*/1, serve_request);
   }
   for (const Status& s : statuses) {
     if (!s.ok()) return CountIfNumerical(s);

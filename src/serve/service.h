@@ -16,10 +16,12 @@
 //   2. Batching — HandleBatch deduplicates users and evaluates model
 //      scores for the whole batch in one parallel pass before any
 //      per-request work runs.
-//   3. KernelCache — the conditioned kernel submatrix and its
-//      eigendecomposition + ESP table are memoized per (user, ground-set
-//      hash) in a lock-striped sharded LRU; the O(n^3) build runs with
-//      no cache lock held, and a per-key in-flight guard makes
+//   3. KernelCache — per (user, ground-set hash), a lock-striped sharded
+//      LRU memoizes what serving a pool needs: in MAP-rerank mode the
+//      answer itself (the greedy selection's pool-local ids, so a hit
+//      only maps them back to item ids), in sampling mode the decomposed
+//      k-DPP (eigendecomposition + ESP table) each draw reads. Builds run
+//      with no cache lock held, and a per-key in-flight guard makes
 //      concurrent misses on one key compute once (the rest wait and
 //      share). Which representation a miss builds is decided once, by
 //      ChooseServePath below. Sampling-mode entries skip the O(n^3)
@@ -27,14 +29,15 @@
 //      below the pool size, through the low-rank dual path
 //      (O(pool * rank^2) conditioning in factor space); blended
 //      0 < alpha < 1 sampling builds primally, which is the fastest exact
-//      build at serving pool sizes. MAP-rerank entries never
-//      eigendecompose at all, and hold a KernelRep: a DiagKernelRep at
-//      alpha == 0, a FactorDiagKernelRep (pool factor rows + blend
-//      scalars, O(pool * rank) memory, greedy reads rows at
-//      O(pool * rank)) when the factor is thinner than the pool — for ANY
-//      blend alpha, since greedy MAP only reads entries and the identity
-//      blend rides as a diagonal beside the factor — or a materialized
-//      PrimalKernelRep otherwise. All reps produce bit-identical
+//      build at serving pool sizes. MAP-rerank builds never
+//      eigendecompose. At alpha == 0 the kernel is diagonal and the
+//      selection is the pool's score-order prefix, so nothing is built.
+//      Otherwise greedy MAP runs once, over a FactorDiagKernelRep (pool
+//      factor rows + blend scalars, rows synthesized at O(pool * rank))
+//      when the factor is thinner than the pool — for ANY blend alpha,
+//      since greedy MAP only reads entries and the identity blend rides
+//      as a diagonal beside the factor — or over the materialized
+//      PrimalKernelRep otherwise. Both reps produce bit-identical
 //      selections (see linalg/kernel_rep.h).
 //   4. ThreadPool — per-request work fans out over the work-stealing
 //      pool with grain-size chunking so tiny per-request tasks do not
@@ -75,7 +78,6 @@
 #include "data/dataset.h"
 #include "kernels/diversity_kernel.h"
 #include "kernels/quality_diversity.h"
-#include "serve/kernel_source.h"
 #include "models/rec_model.h"
 #include "sampling/ground_set_builder.h"
 #include "serve/kernel_cache.h"
@@ -102,7 +104,9 @@ enum class ServePath {
   kFactorDiagSample,  ///< Retired: never produced. Keeps its slot and name
                       ///< so the numbering of the paths after it holds.
   kFactorMap,         ///< FactorDiagKernelRep greedy MAP.
-  kDiagMap,           ///< DiagKernelRep greedy MAP (alpha == 0).
+  kDiagMap,           ///< MAP at alpha == 0: the pool's score-order
+                      ///< prefix, which is greedy MAP's selection on
+                      ///< the diagonal kernel Diag(q^2).
 };
 
 const char* ServePathName(ServePath path);
@@ -120,28 +124,22 @@ struct ServeConfig {
   QualityTransform quality = QualityTransform::kExp;
   /// Total LRU entries across all cache shards; 0 disables caching.
   int cache_capacity = 4096;
-  /// Lock-striped shards of the KernelCache. The cache clamps this so
-  /// every shard holds at least KernelCache::kMinEntriesPerShard
-  /// entries; small caches collapse to one exact-LRU shard.
-  int cache_shards = KernelCache::kDefaultShards;
   /// Async admission: flush the queue when this many requests are
   /// pending...
   int max_batch_size = 64;
   /// ...or when the oldest pending request has waited this long (ms),
   /// whichever comes first. 0 flushes as fast as the batcher can spin.
   double batch_deadline_ms = 2.0;
-  /// Chunk size for the per-request ParallelFor stages. 0 picks a grain
-  /// automatically (ThreadPool::GrainFor: ~4 chunks per lane).
-  int parallel_grain = 0;
   /// Master seed for sampling-mode Rng streams.
   uint64_t seed = 0x5EEDF00DULL;
   /// Disables every thin-representation path: sampling-mode kernels are
   /// materialized and eigendecomposed primally even at alpha == 1 with a
-  /// thin factor, and MAP-rerank kernels are materialized instead of
-  /// held as a DiagKernelRep or FactorDiagKernelRep. The thin paths are
-  /// exact (same sample streams / bit-identical MAP selections), so this
-  /// is the differential oracle for tests and debugging, not a
-  /// correctness switch.
+  /// thin factor, and MAP-rerank builds run greedy MAP over the
+  /// materialized kernel instead of a FactorDiagKernelRep or the
+  /// alpha == 0 score-order prefix. The thin paths are exact (same sample
+  /// streams / bit-identical MAP selections), so this is the
+  /// differential oracle for tests and debugging, not a correctness
+  /// switch.
   bool force_primal = false;
   /// Test-only hook: when set, the batcher thread calls it right after
   /// taking a batch off the admission queue (admission lock released,
@@ -152,7 +150,7 @@ struct ServeConfig {
 };
 
 /// The one serve-path decision: which representation a kernel build for
-/// a pool of `pool_size` items uses, given that the kernel source offers
+/// a pool of `pool_size` items uses, given that the diversity kernel has
 /// a thin factor of rank `thin_rank` (<= 0: none). Pure.
 ///   force_primal                          -> kPrimal
 ///   MAP rerank:  alpha == 0               -> kDiagMap
@@ -195,23 +193,14 @@ class RecommendationService {
       const DiversityKernel* diversity, ThreadPool* pool,
       ServeConfig config);
 
-  /// Serves a trainable Gaussian kernel (paper's PSE/NPSE "E" variants)
-  /// over the given item embeddings instead of a pre-learned diversity
-  /// kernel. The embeddings are snapshotted (copied) and must be finite.
-  /// A Gaussian kernel has no exact thin factor, so every pool is served
-  /// through kPrimal (or kDiagMap for MAP at alpha == 0).
-  static Result<std::unique_ptr<RecommendationService>> CreateGaussian(
-      const Dataset* dataset, RecModel* model, Matrix item_embeddings,
-      double sigma, ThreadPool* pool, ServeConfig config);
-
   /// Stops the admission batcher, resolving every still-queued request
   /// before returning.
   ~RecommendationService();
 
   /// Serves a batch of requests in three parallel passes keyed on the
   /// batch's unique users: (1) score each user's catalog once, (2) build
-  /// or fetch each user's served kernel once — duplicate requests for a
-  /// user share the O(n^3) work even on a cold or disabled cache — and
+  /// or fetch each user's cache entry once — duplicate requests for a
+  /// user share the build even on a cold or disabled cache — and
   /// (3) distill each request's top-k list. Responses come back in
   /// request order. Fails on out-of-range users or numerical breakdown;
   /// an empty batch yields an empty vector.
@@ -291,18 +280,16 @@ class RecommendationService {
   };
 
   RecommendationService(const Dataset* dataset, RecModel* model,
-                        std::unique_ptr<const ServingKernelSource> source,
-                        ThreadPool* pool, ServeConfig config);
+                        const DiversityKernel* diversity, ThreadPool* pool,
+                        ServeConfig config);
 
-  /// Builds the pool and fetches-or-builds the served kernel for a user
+  /// Builds the pool and fetches-or-builds the user's cache entry
   /// through the cache's deduplicated build path.
   Result<UserWork> PrepareUser(int user, const Vector& scores);
 
-  /// Distills one request's top-k list from its user's prepared kernel.
+  /// Distills one request's top-k list from its user's cache entry: the
+  /// stored MAP selection, or a fresh draw from the stored k-DPP.
   Result<RecResponse> SelectTopK(int user, const UserWork& work, Rng* rng);
-
-  /// Grain for a per-request ParallelFor stage of n items.
-  int StageGrain(int n) const;
 
   /// The admission batcher: sleeps until work arrives, flushes on
   /// occupancy/deadline/stop, serves via HandleBatch, resolves promises.
@@ -310,7 +297,7 @@ class RecommendationService {
 
   const Dataset* dataset_;
   RecModel* model_;
-  std::unique_ptr<const ServingKernelSource> source_;
+  const DiversityKernel* diversity_;
   ThreadPool* pool_;
   ServeConfig config_;
   KernelCache cache_;

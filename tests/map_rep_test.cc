@@ -277,46 +277,6 @@ TEST(KernelRepTest, PrimalViewAndOwnedAgree) {
   }
 }
 
-// alpha == 0 collapses the blend to Diag(q)(delta I)Diag(q). The
-// O(pool)-memory DiagKernelRep must equal the full materialized primal
-// pipeline at that point bit for bit: +-0.0 * K_ij + delta == delta on
-// the diagonal (IEEE: adding a signed zero is exact), the (s_i * delta)
-// * s_i grouping mirrors AssembleKernel's left-to-right order, and the
-// off-diagonal sign-of-zero difference (+0.0 vs the primal's +-0.0)
-// never changes a greedy selection (zeros only enter as c^2 = +0.0 and
-// x - 0.0 == x).
-TEST(KernelRepTest, DiagRepMatchesMaterializedAlphaZeroBitExactly) {
-  Rng rng(404);
-  for (const int n : {1, 5, 24}) {
-    const Matrix v = testutil::RandomMatrix(n, std::min(n, 6), &rng);
-    const Vector q = PositiveQuality(n, &rng);
-    const Matrix primal = MaterializeConditioned(v, q, /*alpha=*/0.0);
-    auto diag = DiagKernelRep::Create(q, 1.0);
-    ASSERT_TRUE(diag.ok()) << diag.status().ToString();
-    ASSERT_EQ(diag->size(), n);
-    std::vector<double> d(static_cast<size_t>(n));
-    diag->FillDiag(d.data());
-    std::vector<double> row(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(d[static_cast<size_t>(i)], primal(i, i)) << "diag " << i;
-      diag->FillRow(i, row.data());
-      for (int j = 0; j < n; ++j) {
-        EXPECT_EQ(diag->Entry(i, j), i == j ? primal(i, j) : 0.0)
-            << "entry (" << i << ", " << j << ")";
-        EXPECT_EQ(row[static_cast<size_t>(j)], diag->Entry(i, j));
-      }
-    }
-    // The contract serving relies on: identical greedy selections.
-    GreedyMapOptions opts;
-    opts.max_size = std::min(n, 4);
-    auto from_diag = GreedyMapInference(*diag, opts);
-    auto from_primal = GreedyMapInference(PrimalKernelRep(primal), opts);
-    ASSERT_TRUE(from_diag.ok());
-    ASSERT_TRUE(from_primal.ok());
-    EXPECT_EQ(*from_diag, *from_primal) << "n = " << n;
-  }
-}
-
 TEST(KernelRepTest, CreateValidationErrors) {
   const Matrix v = Matrix(3, 2, 1.0);
   // Scale length mismatch.
@@ -334,12 +294,6 @@ TEST(KernelRepTest, CreateValidationErrors) {
   // Empty factor.
   EXPECT_FALSE(
       FactorDiagKernelRep::Create(Matrix(0, 0), Vector(), 1.0, 0.0).ok());
-  // DiagKernelRep: empty scale, non-finite scale, bad delta.
-  EXPECT_FALSE(DiagKernelRep::Create(Vector(), 1.0).ok());
-  EXPECT_FALSE(DiagKernelRep::Create(bad, 1.0).ok());
-  EXPECT_FALSE(DiagKernelRep::Create(Vector(3, 1.0), -0.5).ok());
-  EXPECT_FALSE(DiagKernelRep::Create(Vector(3, 1.0), std::nan("")).ok());
-  EXPECT_TRUE(DiagKernelRep::Create(Vector(3, 1.0), 0.0).ok());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Pins README's metric catalog to the metric families the library
-// registers: every "lkp_..." family literal under src/ must have a
-// catalog row, and every catalog row must name a family src/ registers.
+// Pins two README tables to src/: the metric catalog (every "lkp_..."
+// family literal under src/ has a catalog row, and every catalog row
+// names a family src/ registers) and the trace span table (the same, for
+// every LKP_TRACE_SPAN("...") and RecordSpan("...") literal).
 
 #include <gtest/gtest.h>
 
@@ -26,22 +27,34 @@ std::string ReadFile(const fs::path& path) {
                      std::istreambuf_iterator<char>());
 }
 
-// Family names of every "lkp_..." string literal in src/; a label set
-// such as {path="..."} ends the family name.
-std::set<std::string> SourceFamilies() {
-  const std::regex literal("\"(lkp_[a-z0-9_]+)");
+// First capture group of every match of `pattern` in src/'s .h and .cc
+// files.
+std::set<std::string> SourceMatches(const std::regex& pattern) {
   std::set<std::string> out;
   for (const auto& entry :
        fs::recursive_directory_iterator(kSourceDir / "src")) {
     const std::string ext = entry.path().extension().string();
     if (ext != ".h" && ext != ".cc") continue;
     const std::string text = ReadFile(entry.path());
-    for (std::sregex_iterator it(text.begin(), text.end(), literal), end;
+    for (std::sregex_iterator it(text.begin(), text.end(), pattern), end;
          it != end; ++it) {
       out.insert((*it)[1].str());
     }
   }
   return out;
+}
+
+// Family names of every "lkp_..." string literal in src/; a label set
+// such as {path="..."} ends the family name.
+std::set<std::string> SourceFamilies() {
+  return SourceMatches(std::regex("\"(lkp_[a-z0-9_]+)"));
+}
+
+// Span names of every LKP_TRACE_SPAN("...") and RecordSpan("...")
+// literal in src/.
+std::set<std::string> SourceSpans() {
+  return SourceMatches(
+      std::regex("(?:LKP_TRACE_SPAN|RecordSpan)\\(\"([^\"]+)\""));
 }
 
 // Expands the first {a,b,...} group (one without '=', which marks a
@@ -64,15 +77,15 @@ void ExpandName(const std::string& name, std::set<std::string>* out) {
   out->insert(name.substr(0, name.find('{')));
 }
 
-// Families named in the first column of README's metric catalog table
-// (the table whose header row is "| metric | type | meaning |").
-std::set<std::string> CatalogFamilies() {
+// Code spans in the first column of the README table whose header row
+// starts with `header`.
+std::vector<std::string> ReadmeFirstColumnCode(const std::string& header) {
   std::istringstream readme(ReadFile(kSourceDir / "README.md"));
-  std::set<std::string> out;
+  std::vector<std::string> out;
   std::string line;
   bool in_table = false;
   while (std::getline(readme, line)) {
-    if (line.rfind("| metric | type | meaning |", 0) == 0) {
+    if (line.rfind(header, 0) == 0) {
       in_table = true;
       continue;
     }
@@ -84,9 +97,17 @@ std::set<std::string> CatalogFamilies() {
     std::stringstream cell(first_cell);
     std::string part;
     while (std::getline(cell, part, '`')) parts.push_back(part);
-    for (size_t i = 1; i < parts.size(); i += 2) {
-      if (parts[i].rfind("lkp_", 0) == 0) ExpandName(parts[i], &out);
-    }
+    for (size_t i = 1; i < parts.size(); i += 2) out.push_back(parts[i]);
+  }
+  return out;
+}
+
+// Families named in README's metric catalog table.
+std::set<std::string> CatalogFamilies() {
+  std::set<std::string> out;
+  for (const std::string& code :
+       ReadmeFirstColumnCode("| metric | type | meaning |")) {
+    if (code.rfind("lkp_", 0) == 0) ExpandName(code, &out);
   }
   return out;
 }
@@ -114,6 +135,24 @@ TEST(MetricCatalogTest, ReadmeCatalogMatchesSource) {
     EXPECT_TRUE(source.count(family) > 0)
         << family << " is in README's metric catalog but src/ never "
         << "registers it";
+  }
+}
+
+TEST(SpanCatalogTest, ReadmeSpanTableMatchesSource) {
+  const std::set<std::string> source = SourceSpans();
+  const std::vector<std::string> rows = ReadmeFirstColumnCode("| span | covers |");
+  const std::set<std::string> table(rows.begin(), rows.end());
+  ASSERT_FALSE(source.empty()) << "no span literals under "
+                               << (kSourceDir / "src");
+  ASSERT_FALSE(table.empty()) << "no span table in README.md";
+  for (const std::string& span : source) {
+    EXPECT_TRUE(table.count(span) > 0)
+        << span << " is recorded in src/ but missing from README's span "
+        << "table";
+  }
+  for (const std::string& span : table) {
+    EXPECT_TRUE(source.count(span) > 0)
+        << span << " is in README's span table but src/ never records it";
   }
 }
 

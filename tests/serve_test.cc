@@ -19,7 +19,6 @@
 #include "obs/metrics.h"
 #include "serve/kernel_cache.h"
 #include "serve/stats.h"
-#include "testing_util.h"
 
 namespace lkpdpp {
 namespace {
@@ -83,9 +82,11 @@ std::vector<RecRequest> RoundRobinBatch(int batch_size, int offset) {
 // ---------------------------------------------------------------------
 // KernelCache
 
-std::shared_ptr<const ServedKernel> DummyEntry(double fill) {
+// A cache entry tagged through its selection, so tests can tell which
+// Put an entry came from.
+std::shared_ptr<const ServedKernel> DummyEntry(int tag) {
   auto e = std::make_shared<ServedKernel>();
-  e->rep = std::make_shared<const PrimalKernelRep>(Matrix(2, 2, fill));
+  e->selection = {tag};
   return e;
 }
 
@@ -93,17 +94,17 @@ TEST(KernelCacheTest, MissThenHit) {
   KernelCache cache(4);
   EXPECT_EQ(cache.Get(1, 42), nullptr);
   EXPECT_EQ(cache.misses(), 1);
-  cache.Put(1, 42, DummyEntry(1.0));
+  cache.Put(1, 42, DummyEntry(1));
   auto hit = cache.Get(1, 42);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->rep->Entry(0, 0), 1.0);
+  EXPECT_EQ(hit->selection, std::vector<int>{1});
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.size(), 1);
 }
 
 TEST(KernelCacheTest, DistinguishesUserAndHash) {
   KernelCache cache(8);
-  cache.Put(1, 42, DummyEntry(1.0));
+  cache.Put(1, 42, DummyEntry(1));
   EXPECT_EQ(cache.Get(2, 42), nullptr);
   EXPECT_EQ(cache.Get(1, 43), nullptr);
   EXPECT_NE(cache.Get(1, 42), nullptr);
@@ -111,11 +112,11 @@ TEST(KernelCacheTest, DistinguishesUserAndHash) {
 
 TEST(KernelCacheTest, EvictsLeastRecentlyUsed) {
   KernelCache cache(2);
-  cache.Put(1, 10, DummyEntry(1.0));
-  cache.Put(2, 20, DummyEntry(2.0));
+  cache.Put(1, 10, DummyEntry(1));
+  cache.Put(2, 20, DummyEntry(2));
   // Touch (1, 10) so (2, 20) becomes the LRU entry.
   ASSERT_NE(cache.Get(1, 10), nullptr);
-  cache.Put(3, 30, DummyEntry(3.0));
+  cache.Put(3, 30, DummyEntry(3));
   EXPECT_EQ(cache.size(), 2);
   EXPECT_EQ(cache.evictions(), 1);
   EXPECT_EQ(cache.Get(2, 20), nullptr);  // Evicted.
@@ -125,25 +126,25 @@ TEST(KernelCacheTest, EvictsLeastRecentlyUsed) {
 
 TEST(KernelCacheTest, CapacityZeroDisablesCaching) {
   KernelCache cache(0);
-  cache.Put(1, 10, DummyEntry(1.0));
+  cache.Put(1, 10, DummyEntry(1));
   EXPECT_EQ(cache.size(), 0);
   EXPECT_EQ(cache.Get(1, 10), nullptr);
 }
 
 TEST(KernelCacheTest, PutRefreshesExistingKey) {
   KernelCache cache(2);
-  cache.Put(1, 10, DummyEntry(1.0));
-  cache.Put(1, 10, DummyEntry(7.0));
+  cache.Put(1, 10, DummyEntry(1));
+  cache.Put(1, 10, DummyEntry(7));
   EXPECT_EQ(cache.size(), 1);
   auto e = cache.Get(1, 10);
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->rep->Entry(0, 0), 7.0);
+  EXPECT_EQ(e->selection, std::vector<int>{7});
 }
 
 TEST(KernelCacheTest, ClearEmptiesEverything) {
   KernelCache cache(4);
-  cache.Put(1, 10, DummyEntry(1.0));
-  cache.Put(2, 20, DummyEntry(2.0));
+  cache.Put(1, 10, DummyEntry(1));
+  cache.Put(2, 20, DummyEntry(2));
   cache.Clear();
   EXPECT_EQ(cache.size(), 0);
   EXPECT_EQ(cache.Get(1, 10), nullptr);
@@ -151,19 +152,19 @@ TEST(KernelCacheTest, ClearEmptiesEverything) {
 
 // Like DummyEntry, but with a ground set the reverse indices can bucket.
 std::shared_ptr<const ServedKernel> DummyEntryWithItems(
-    double fill, std::vector<int> items) {
+    int tag, std::vector<int> items) {
   auto e = std::make_shared<ServedKernel>();
-  e->rep = std::make_shared<const PrimalKernelRep>(Matrix(2, 2, fill));
+  e->selection = {tag};
   e->items = std::move(items);
   return e;
 }
 
 TEST(KernelCacheTest, InvalidateUsersEvictsOnlyTouchedUsers) {
   KernelCache cache(8);  // Single shard: exact counts.
-  cache.Put(1, 10, DummyEntryWithItems(1.0, {4, 5}));
-  cache.Put(1, 11, DummyEntryWithItems(1.5, {5, 6}));
-  cache.Put(2, 20, DummyEntryWithItems(2.0, {4}));
-  cache.Put(3, 30, DummyEntryWithItems(3.0, {7}));
+  cache.Put(1, 10, DummyEntryWithItems(1, {4, 5}));
+  cache.Put(1, 11, DummyEntryWithItems(15, {5, 6}));
+  cache.Put(2, 20, DummyEntryWithItems(2, {4}));
+  cache.Put(3, 30, DummyEntryWithItems(3, {7}));
   EXPECT_EQ(cache.InvalidateUsers({1}), 2);  // Both of user 1's pools.
   EXPECT_EQ(cache.size(), 2);
   EXPECT_EQ(cache.Get(1, 10), nullptr);
@@ -179,9 +180,9 @@ TEST(KernelCacheTest, InvalidateItemsCountsMultiItemEntriesOnce) {
   KernelCache cache(8);
   // (1, 10) contains BOTH touched items: it must evict — and count —
   // exactly once even though it sits in two drained buckets.
-  cache.Put(1, 10, DummyEntryWithItems(1.0, {4, 5}));
-  cache.Put(2, 20, DummyEntryWithItems(2.0, {5}));
-  cache.Put(3, 30, DummyEntryWithItems(3.0, {6}));
+  cache.Put(1, 10, DummyEntryWithItems(1, {4, 5}));
+  cache.Put(2, 20, DummyEntryWithItems(2, {5}));
+  cache.Put(3, 30, DummyEntryWithItems(3, {6}));
   EXPECT_EQ(cache.InvalidateItems({4, 5}), 2);
   EXPECT_EQ(cache.Get(1, 10), nullptr);
   EXPECT_EQ(cache.Get(2, 20), nullptr);
@@ -191,15 +192,15 @@ TEST(KernelCacheTest, InvalidateItemsCountsMultiItemEntriesOnce) {
 
 TEST(KernelCacheTest, ReverseIndexFollowsEvictionAndRefresh) {
   KernelCache cache(2);  // Single-shard exact LRU.
-  cache.Put(1, 10, DummyEntryWithItems(1.0, {4}));
-  cache.Put(2, 20, DummyEntryWithItems(2.0, {5}));
-  cache.Put(3, 30, DummyEntryWithItems(3.0, {6}));  // Evicts (1, 10).
+  cache.Put(1, 10, DummyEntryWithItems(1, {4}));
+  cache.Put(2, 20, DummyEntryWithItems(2, {5}));
+  cache.Put(3, 30, DummyEntryWithItems(3, {6}));  // Evicts (1, 10).
   EXPECT_EQ(cache.evictions(), 1);
   // The evicted entry left the reverse indices with it.
   EXPECT_EQ(cache.InvalidateUsers({1}), 0);
   EXPECT_EQ(cache.InvalidateItems({4}), 0);
   // A Put-refresh rebinds the key to the NEW entry's ground set.
-  cache.Put(2, 20, DummyEntryWithItems(2.5, {7}));
+  cache.Put(2, 20, DummyEntryWithItems(25, {7}));
   EXPECT_EQ(cache.InvalidateItems({5}), 0);  // Old set no longer indexed.
   EXPECT_EQ(cache.InvalidateItems({7}), 1);  // New set is.
   EXPECT_EQ(cache.Get(2, 20), nullptr);
@@ -207,8 +208,8 @@ TEST(KernelCacheTest, ReverseIndexFollowsEvictionAndRefresh) {
 
 TEST(KernelCacheTest, ClearDropsReverseIndices) {
   KernelCache cache(8);
-  cache.Put(1, 10, DummyEntryWithItems(1.0, {4}));
-  cache.Put(2, 20, DummyEntryWithItems(2.0, {5}));
+  cache.Put(1, 10, DummyEntryWithItems(1, {4}));
+  cache.Put(2, 20, DummyEntryWithItems(2, {5}));
   cache.Clear();
   EXPECT_EQ(cache.InvalidateUsers({1}), 0);
   EXPECT_EQ(cache.InvalidateItems({5}), 0);
@@ -220,7 +221,7 @@ TEST(KernelCacheTest, InvalidationsByShardSumToTotal) {
   ASSERT_GT(cache.num_shards(), 1);
   for (int u = 0; u < 40; ++u) {
     cache.Put(u, 100 + static_cast<uint64_t>(u),
-              DummyEntryWithItems(1.0, {u % 7}));
+              DummyEntryWithItems(1, {u % 7}));
   }
   std::vector<int> even_users;
   for (int u = 0; u < 40; u += 2) even_users.push_back(u);
@@ -553,35 +554,55 @@ TEST(ServeTest, RankOneDiversityPoolsAgreeAcrossRepsAndThreads) {
   }
 }
 
-// Satellite: MAP-mode cache entries never eigendecompose — every build
-// bumps lkp_kernel_cache_eig_skipped_total instead, factor and primal
-// alike.
+// MAP-mode cache entries never eigendecompose: each stores its answer,
+// min(top_k, |pool|) selected ids, and no k-DPP, on the factor and the
+// primal path alike. Sampling-mode entries hold the decomposed k-DPP
+// their draws read.
 TEST(ServeTest, MapModeBuildsSkipEigendecomposition) {
   ServeWorld* w = World();
-  obs::Counter* skipped = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_kernel_cache_eig_skipped_total");
+  // The entry a service cached for `user`. The service only hands out
+  // its cache read-only; Get merely refreshes recency and counts a hit.
+  auto cached_entry = [&](const RecommendationService& service, int user) {
+    w->model->PrepareForEval();
+    const std::vector<int> pool = GroundSetBuilder::BuildServingPool(
+        w->dataset, user, w->model->ScoreAllItems(user),
+        service.config().pool_size);
+    return const_cast<KernelCache&>(service.cache())
+        .Get(user, HashGroundSet(pool));
+  };
+  constexpr int kUsers = 16;
   for (bool force_primal : {false, true}) {
     ServeConfig cfg = BaseConfig(ServeMode::kMapRerank);
     cfg.force_primal = force_primal;
     auto service = RecommendationService::Create(
         &w->dataset, w->model.get(), &w->diversity, nullptr, cfg);
     ASSERT_TRUE(service.ok());
-    const long before = skipped->Value();
-    ASSERT_TRUE((*service)->HandleBatch(RoundRobinBatch(16, 0)).ok());
-    const long skipped_delta = skipped->Value() - before;
-    EXPECT_EQ(skipped_delta, (*service)->cache().builds())
-        << "force_primal=" << force_primal
-        << ": every MAP build must skip the eigendecomposition";
-    EXPECT_GT(skipped_delta, 0);
+    ASSERT_TRUE((*service)->HandleBatch(RoundRobinBatch(kUsers, 0)).ok());
+    ASSERT_EQ((*service)->cache().builds(), kUsers);
+    for (int user = 0; user < kUsers; ++user) {
+      auto entry = cached_entry(**service, user);
+      ASSERT_NE(entry, nullptr) << "user " << user;
+      EXPECT_EQ(entry->path, force_primal ? ServePath::kPrimal
+                                          : ServePath::kFactorMap);
+      EXPECT_EQ(entry->kdpp, nullptr)
+          << "force_primal=" << force_primal << " user " << user
+          << ": a MAP build must skip the eigendecomposition";
+      EXPECT_EQ(entry->selection.size(),
+                std::min(static_cast<size_t>(cfg.top_k), entry->items.size()))
+          << "force_primal=" << force_primal << " user " << user;
+    }
   }
-  // Sampling-mode builds DO decompose and must not touch the counter.
   auto sampling = RecommendationService::Create(
       &w->dataset, w->model.get(), &w->diversity, nullptr,
       BaseConfig(ServeMode::kSample));
   ASSERT_TRUE(sampling.ok());
-  const long before = skipped->Value();
   ASSERT_TRUE((*sampling)->HandleBatch(RoundRobinBatch(8, 0)).ok());
-  EXPECT_EQ(skipped->Value(), before);
+  for (int user = 0; user < 8; ++user) {
+    auto entry = cached_entry(**sampling, user);
+    ASSERT_NE(entry, nullptr) << "user " << user;
+    EXPECT_NE(entry->kdpp, nullptr) << "user " << user;
+    EXPECT_TRUE(entry->selection.empty()) << "user " << user;
+  }
 }
 
 TEST(ServeTest, ServingPoolIsScoreSortedAndUnobserved) {
@@ -958,7 +979,7 @@ TEST(KernelCacheTest, ShardedCacheServesEveryKeyAndHonorsBudget) {
   for (int k = 0; k < 100; ++k) {
     auto e = cache.Get(k, static_cast<uint64_t>(k) * 31 + 7);
     if (e != nullptr) {
-      EXPECT_EQ(e->rep->Entry(0, 0), static_cast<double>(k));
+      EXPECT_EQ(e->selection, std::vector<int>{k});
       ++present;
     }
   }
@@ -993,7 +1014,7 @@ TEST(KernelCacheTest, GetOrBuildBuildsOnceUnderConcurrentMisses) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         auto e = std::make_shared<ServedKernel>();
         e->items = items;
-        e->rep = std::make_shared<const PrimalKernelRep>(Matrix(2, 2, 9.0));
+        e->selection = {9};
         return Result<std::shared_ptr<const ServedKernel>>(std::move(e));
       }, &was_hit);
       ASSERT_TRUE(r.ok());
@@ -1409,41 +1430,58 @@ TEST(ServeTest, DeadlineZeroDispatchesImmediatelyWithoutSkips) {
   EXPECT_EQ(stats.batches, kRequests);
 }
 
-// alpha == 0 short-circuits MAP builds to the O(pool)-memory diagonal
-// rep; selections must stay bit-identical to the forced-primal oracle.
+// alpha == 0 MAP serves the pool's score-order prefix without building a
+// kernel. It must equal the forced-primal oracle, which runs greedy MAP
+// over the materialized diagonal kernel, under both quality transforms
+// (kSigmoid is what NeuMF and GC-MC serve with).
 TEST(ServeTest, AlphaZeroDiagPathMatchesForcedPrimalOracle) {
   ServeWorld* w = World();
   obs::Counter* diag_total = obs::MetricsRegistry::Global().GetCounter(
       "lkp_serve_path_total{path=\"diag_map\"}");
-  ServeConfig diag_cfg = BaseConfig(ServeMode::kMapRerank);
-  diag_cfg.kernel_blend_alpha = 0.0;
-  ServeConfig primal_cfg = diag_cfg;
-  primal_cfg.force_primal = true;
-  auto diag_service = RecommendationService::Create(
-      &w->dataset, w->model.get(), &w->diversity, nullptr, diag_cfg);
-  auto primal_service = RecommendationService::Create(
-      &w->dataset, w->model.get(), &w->diversity, nullptr, primal_cfg);
-  ASSERT_TRUE(diag_service.ok());
-  ASSERT_TRUE(primal_service.ok());
-  const long before = diag_total->Value();
-  for (int b = 0; b < 3; ++b) {
-    auto rd = (*diag_service)->HandleBatch(RoundRobinBatch(24, b * 5));
-    auto rp = (*primal_service)->HandleBatch(RoundRobinBatch(24, b * 5));
-    ASSERT_TRUE(rd.ok()) << rd.status().ToString();
-    ASSERT_TRUE(rp.ok()) << rp.status().ToString();
-    ASSERT_EQ(rd->size(), rp->size());
-    for (size_t i = 0; i < rd->size(); ++i) {
-      EXPECT_EQ((*rd)[i].items, (*rp)[i].items)
-          << "batch " << b << " request " << i
-          << ": diag and primal MAP selections diverged";
-      EXPECT_EQ(static_cast<int>((*rd)[i].items.size()), diag_cfg.top_k);
+  for (QualityTransform quality :
+       {QualityTransform::kExp, QualityTransform::kSigmoid}) {
+    ServeConfig diag_cfg = BaseConfig(ServeMode::kMapRerank);
+    diag_cfg.kernel_blend_alpha = 0.0;
+    diag_cfg.quality = quality;
+    ServeConfig primal_cfg = diag_cfg;
+    primal_cfg.force_primal = true;
+    auto diag_service = RecommendationService::Create(
+        &w->dataset, w->model.get(), &w->diversity, nullptr, diag_cfg);
+    auto primal_service = RecommendationService::Create(
+        &w->dataset, w->model.get(), &w->diversity, nullptr, primal_cfg);
+    ASSERT_TRUE(diag_service.ok());
+    ASSERT_TRUE(primal_service.ok());
+    const long before = diag_total->Value();
+    for (int b = 0; b < 3; ++b) {
+      auto rd = (*diag_service)->HandleBatch(RoundRobinBatch(24, b * 5));
+      auto rp = (*primal_service)->HandleBatch(RoundRobinBatch(24, b * 5));
+      ASSERT_TRUE(rd.ok()) << rd.status().ToString();
+      ASSERT_TRUE(rp.ok()) << rp.status().ToString();
+      ASSERT_EQ(rd->size(), rp->size());
+      for (size_t i = 0; i < rd->size(); ++i) {
+        const RecResponse& r = (*rd)[i];
+        EXPECT_EQ(r.items, (*rp)[i].items)
+            << QualityTransformName(quality) << " batch " << b
+            << " request " << i
+            << ": diag and primal MAP selections diverged";
+        EXPECT_EQ(static_cast<int>(r.items.size()), diag_cfg.top_k);
+        w->model->PrepareForEval();
+        std::vector<int> prefix = GroundSetBuilder::BuildServingPool(
+            w->dataset, r.user, w->model->ScoreAllItems(r.user),
+            diag_cfg.pool_size);
+        prefix.resize(std::min(prefix.size(),
+                               static_cast<size_t>(diag_cfg.top_k)));
+        EXPECT_EQ(r.items, prefix)
+            << QualityTransformName(quality) << " user " << r.user
+            << ": not the serving pool's score-order prefix";
+      }
     }
+    // Every diag-service build took the short circuit; the forced-primal
+    // oracle (same alpha, interleaved above) never did.
+    const long diag_builds = diag_total->Value() - before;
+    EXPECT_EQ(diag_builds, (*diag_service)->cache().builds());
+    EXPECT_GT(diag_builds, 0);
   }
-  // Every diag-service build took the short circuit; the forced-primal
-  // oracle (same alpha, interleaved above) never did.
-  const long diag_builds = diag_total->Value() - before;
-  EXPECT_EQ(diag_builds, (*diag_service)->cache().builds());
-  EXPECT_GT(diag_builds, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -1628,86 +1666,6 @@ TEST(ConfigValidationTest, ServeConfigRejectsNonFiniteFields) {
   cfg.batch_deadline_ms = inf;
   EXPECT_FALSE(create(cfg));
   EXPECT_TRUE(create(SampleConfig(0.5)));
-}
-
-// ---------------------------------------------------------------------
-// Gaussian kernels: no exact thin factor, so only exact paths serve them
-
-// Every mode and blend alpha serves on diag_map (MAP at alpha == 0) or
-// primal, with the items a force_primal service returns.
-TEST(GaussianServeTest, ServesOnlyExactPaths) {
-  ServeWorld* w = World();
-  Rng rng(41);
-  const Matrix embeddings =
-      testutil::RandomMatrix(w->dataset.num_items(), 6, &rng);
-  struct Case {
-    ServeMode mode;
-    double alpha;
-  };
-  for (const Case& c : {Case{ServeMode::kMapRerank, 0.0},
-                        Case{ServeMode::kMapRerank, 0.4},
-                        Case{ServeMode::kMapRerank, 1.0},
-                        Case{ServeMode::kSample, 0.4},
-                        Case{ServeMode::kSample, 1.0}}) {
-    ServeConfig cfg = BaseConfig(c.mode);
-    cfg.kernel_blend_alpha = c.alpha;
-    ServeConfig primal_cfg = cfg;
-    primal_cfg.force_primal = true;
-    auto service = RecommendationService::CreateGaussian(
-        &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr, cfg);
-    auto oracle = RecommendationService::CreateGaussian(
-        &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
-        primal_cfg);
-    ASSERT_TRUE(service.ok()) << service.status().ToString();
-    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-    auto got = (*service)->HandleBatch(RoundRobinBatch(12, 0));
-    auto want = (*oracle)->HandleBatch(RoundRobinBatch(12, 0));
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ASSERT_EQ(got->size(), want->size());
-    const ServePath expected =
-        c.mode == ServeMode::kMapRerank && c.alpha == 0.0
-            ? ServePath::kDiagMap
-            : ServePath::kPrimal;
-    for (size_t i = 0; i < got->size(); ++i) {
-      const RecResponse& r = (*got)[i];
-      EXPECT_EQ(r.items, (*want)[i].items)
-          << ServeModeName(c.mode) << " alpha=" << c.alpha << " i=" << i;
-      if (r.items.empty()) continue;
-      EXPECT_EQ(r.path, expected)
-          << ServeModeName(c.mode) << " alpha=" << c.alpha << " served on "
-          << ServePathName(r.path);
-    }
-  }
-}
-
-// Regression: a NaN embedding column used to be accepted, after which
-// MAP lists degraded to one greedy pick plus score-order backfill and
-// every sampling batch failed with NumericalError.
-TEST(GaussianServeTest, RejectsNonFiniteEmbeddings) {
-  ServeWorld* w = World();
-  Rng rng(43);
-  const Matrix clean =
-      testutil::RandomMatrix(w->dataset.num_items(), 6, &rng);
-  Matrix nan_column = clean;
-  for (int i = 0; i < nan_column.rows(); ++i) {
-    nan_column(i, 2) = std::numeric_limits<double>::quiet_NaN();
-  }
-  Matrix inf_entry = clean;
-  inf_entry(7, 0) = std::numeric_limits<double>::infinity();
-  for (ServeMode mode : {ServeMode::kMapRerank, ServeMode::kSample}) {
-    for (const Matrix* embeddings : {&nan_column, &inf_entry}) {
-      auto service = RecommendationService::CreateGaussian(
-          &w->dataset, w->model.get(), Matrix(*embeddings), 1.5, nullptr,
-          BaseConfig(mode));
-      ASSERT_FALSE(service.ok()) << ServeModeName(mode);
-      EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
-    }
-  }
-  EXPECT_TRUE(RecommendationService::CreateGaussian(
-                  &w->dataset, w->model.get(), Matrix(clean), 1.5, nullptr,
-                  BaseConfig(ServeMode::kSample))
-                  .ok());
 }
 
 }  // namespace
