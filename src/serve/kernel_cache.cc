@@ -20,6 +20,11 @@ obs::Counter* CacheHitsTotal() {
       "lkp_serve_cache_hits_total");
   return counter;
 }
+obs::Counter* CacheWarmHitsTotal() {
+  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
+      "lkp_serve_cache_warm_hits_total");
+  return counter;
+}
 obs::Counter* CacheMissesTotal() {
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
       "lkp_serve_cache_misses_total");
@@ -111,7 +116,7 @@ void KernelCache::UnindexEntryLocked(Shard& shard, const Key& key,
 std::shared_ptr<const ServedKernel> KernelCache::Get(int user,
                                                      uint64_t ground_hash) {
   const Key key{user, ground_hash};
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(user);
   std::lock_guard<std::mutex> lk(shard.mu);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
@@ -123,6 +128,25 @@ std::shared_ptr<const ServedKernel> KernelCache::Get(int user,
   CacheHitsTotal()->Inc();
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   return it->second->second;
+}
+
+std::shared_ptr<const ServedKernel> KernelCache::GetCurrent(
+    int user, uint64_t model_version) {
+  Shard& shard = ShardFor(user);
+  std::lock_guard<std::mutex> lk(shard.mu);
+  auto bucket = shard.user_keys.find(user);
+  if (bucket == shard.user_keys.end()) return nullptr;
+  for (const Key& key : bucket->second) {
+    // user_keys mirrors index, so every key in the bucket is resident.
+    const auto node = shard.index.find(key)->second;
+    if (node->second->model_version != model_version) continue;
+    hits_.Inc();
+    CacheHitsTotal()->Inc();
+    CacheWarmHitsTotal()->Inc();
+    shard.lru.splice(shard.lru.begin(), shard.lru, node);
+    return node->second;
+  }
+  return nullptr;
 }
 
 void KernelCache::PutLocked(Shard& shard, const Key& key,
@@ -211,7 +235,7 @@ void KernelCache::Put(int user, uint64_t ground_hash,
                       std::shared_ptr<const ServedKernel> value) {
   if (capacity_ == 0) return;
   const Key key{user, ground_hash};
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(user);
   std::lock_guard<std::mutex> lk(shard.mu);
   PutLocked(shard, key, std::move(value));
 }
@@ -220,7 +244,7 @@ Result<std::shared_ptr<const ServedKernel>> KernelCache::GetOrBuild(
     int user, uint64_t ground_hash, const std::vector<int>& items,
     const Builder& build, bool* was_hit) {
   const Key key{user, ground_hash};
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(user);
   if (was_hit != nullptr) *was_hit = false;
 
   std::shared_ptr<InFlight> flight;

@@ -9,11 +9,22 @@
 // sit behind shared_ptr, so one evicted mid-request stays alive for its
 // readers.
 //
-// Concurrency: the table is lock-striped into N independent shards, each
-// with its own mutex, LRU list, and counters, so concurrent lookups on
-// different keys never serialize on one global lock. Eviction is LRU
-// *per shard* (globally approximate LRU). Small capacities collapse to a
-// single shard so the exact-LRU behavior unit tests rely on survives.
+// Concurrency: the table is lock-striped into N independent shards by
+// user, each with its own mutex, LRU list, and counters, so concurrent
+// lookups for different users rarely serialize on one lock, and all of
+// one user's entries sit in one shard. Eviction is LRU *per shard*
+// (globally approximate LRU). Small capacities collapse to a single
+// shard so the exact-LRU behavior unit tests rely on survives.
+//
+// Two ways in. The full path, GetOrBuild, takes the key the caller
+// derived from a freshly built pool. The warm path, GetCurrent, needs
+// only the user: it returns the user's entry stamped with the current
+// model_version, so a caller can skip scoring and the pool. That is
+// exact because the pool is a pure function of (user, model) and the
+// model moves only under RecommendationService::ApplyUpdate (which
+// advances the version) or InvalidateModel (which Clear()s the cache):
+// an entry built at the current version was built for the user's
+// current pool.
 //
 // The expensive build path goes through GetOrBuild: the builder runs
 // with NO shard lock held, and a per-key in-flight guard makes
@@ -30,12 +41,14 @@
 // the item), so InvalidateUsers/InvalidateItems evict exactly the
 // entries whose inputs changed — any entry owned by a touched user, or
 // whose pool contains a touched item — and leave everything else warm.
-// Pool-membership drift needs no invalidation at all: the key includes
-// the ground-set hash, so a pool recomputed from fresh scores that
-// admits or drops an item simply misses and rebuilds, while the stale
-// pool's entry ages out by LRU. Clear() remains the blunt fallback for
-// full retrains / model swaps (the service owns this; see
-// RecommendationService::InvalidateModel).
+// On the full path, pool-membership drift needs no invalidation: the
+// key includes the ground-set hash, so a pool recomputed from fresh
+// scores that admits or drops an item simply misses and rebuilds, while
+// the stale pool's entry ages out by LRU. The warm path never sees such
+// an entry, because an update advances the version past every entry's
+// stamp; a survivor is served again only through the full path. Clear()
+// remains the blunt fallback for full retrains / model swaps (the
+// service owns this; see RecommendationService::InvalidateModel).
 
 #ifndef LKPDPP_SERVE_KERNEL_CACHE_H_
 #define LKPDPP_SERVE_KERNEL_CACHE_H_
@@ -81,9 +94,9 @@ struct ServedKernel {
   /// Value-initialized to ServePath::kPrimal.
   ServePath path{};
   /// The model_version epoch the entry was computed under (stamped by
-  /// the service's builder). Targeted invalidation keeps entries from
-  /// ever being SERVED stale, so a surviving entry's stamp only says how
-  /// old its (still valid) inputs are — observability, not correctness.
+  /// the service's builder). GetCurrent serves an entry without
+  /// recomputing its pool only when this equals the current version, so
+  /// the stamp must be the version the pool was scored under.
   uint64_t model_version = 0;
 };
 
@@ -105,6 +118,13 @@ class KernelCache {
 
   /// Returns the entry and refreshes its recency, or null on miss.
   std::shared_ptr<const ServedKernel> Get(int user, uint64_t ground_hash);
+
+  /// The warm lookup: returns `user`'s resident entry stamped with
+  /// `model_version`, refreshing its recency and counting a hit (also in
+  /// lkp_serve_cache_warm_hits_total), or null without counting anything,
+  /// so a caller that falls back to GetOrBuild counts one outcome.
+  std::shared_ptr<const ServedKernel> GetCurrent(int user,
+                                                 uint64_t model_version);
 
   /// Inserts (or refreshes) an entry, evicting the least recently used
   /// entry of its shard when that shard is over capacity.
@@ -216,14 +236,13 @@ class KernelCache {
     obs::Counter* invalidations_metric = nullptr;
   };
 
-  /// Shard selection re-mixes the key hash through SplitMix64 before
-  /// the modulus. Reusing KeyHasher's value verbatim would make the
-  /// shard index a pure function of the SAME bits the per-shard
-  /// unordered_map buckets on, so every key landing in shard i would
-  /// share `hash % num_shards == i` — correlated bucket structure
-  /// inside every shard. The finalizer decorrelates the two uses.
-  static size_t ShardIndexFor(size_t key_hash, size_t num_shards) {
-    uint64_t x = static_cast<uint64_t>(key_hash) + 0x9E3779B97F4A7C15ULL;
+  /// The shard holding every entry of `user`, so GetCurrent finds them
+  /// all in one `user_keys` bucket. The id goes through the SplitMix64
+  /// finalizer before the modulus, which spreads runs of ids (and any
+  /// stride in them) evenly; the per-shard maps bucket on KeyHasher,
+  /// which also mixes in the ground-set hash.
+  static size_t ShardIndexFor(int user, size_t num_shards) {
+    uint64_t x = static_cast<uint64_t>(user) + 0x9E3779B97F4A7C15ULL;
     x ^= x >> 30;
     x *= 0xBF58476D1CE4E5B9ULL;
     x ^= x >> 27;
@@ -232,11 +251,8 @@ class KernelCache {
     return static_cast<size_t>(x) % num_shards;
   }
 
-  Shard& ShardFor(const Key& key) {
-    return *shards_[ShardIndexFor(KeyHasher{}(key), shards_.size())];
-  }
-  const Shard& ShardFor(const Key& key) const {
-    return *shards_[ShardIndexFor(KeyHasher{}(key), shards_.size())];
+  Shard& ShardFor(int user) {
+    return *shards_[ShardIndexFor(user, shards_.size())];
   }
 
   /// Inserts or refreshes `key` in `shard` (shard.mu must be held).

@@ -318,32 +318,48 @@ Result<std::shared_ptr<const KDpp>> BuildPrimalSample(Matrix conditioned,
 }  // namespace
 
 Result<RecommendationService::UserWork> RecommendationService::PrepareUser(
-    int user, const Vector& scores) {
+    int user) {
   LKP_TRACE_SPAN("serve.prepare_user");
   Stopwatch timer;
   UserWork work;
-  work.pool = GroundSetBuilder::BuildServingPool(*dataset_, user, scores,
-                                                 config_.pool_size);
-  if (work.pool.empty()) {
+  // Warm path: the batch holds the epoch barrier, so an entry stamped
+  // with the current version was built for the pool the full path below
+  // would rebuild (see KernelCache::GetCurrent).
+  work.entry = cache_.GetCurrent(user, model_version());
+  if (work.entry != nullptr) {
+    work.cache_hit = true;
+    work.kernel_ms = timer.ElapsedMillis();
+    return work;
+  }
+  const Vector scores = [&] {
+    LKP_TRACE_SPAN("serve.score");
+    return model_->ScoreAllItems(user);
+  }();
+  const std::vector<int> pool = [&] {
+    LKP_TRACE_SPAN("serve.pool");
+    return GroundSetBuilder::BuildServingPool(*dataset_, user, scores,
+                                              config_.pool_size);
+  }();
+  if (pool.empty()) {
     work.kernel_ms = timer.ElapsedMillis();
     return work;  // Fully saturated user: nothing left to recommend.
   }
-  const int pool_size = static_cast<int>(work.pool.size());
+  const int pool_size = static_cast<int>(pool.size());
   const int effective_k = std::min(config_.top_k, pool_size);
 
-  const uint64_t hash = HashGroundSet(work.pool);
+  const uint64_t hash = HashGroundSet(pool);
   // The expensive build, run by the cache with no shard lock held and at
   // most once per key even under concurrent misses (in-flight guard).
   auto build = [&]() -> Result<std::shared_ptr<const ServedKernel>> {
     Vector pool_scores(pool_size);
     for (int i = 0; i < pool_size; ++i) {
-      pool_scores[i] = scores[work.pool[static_cast<size_t>(i)]];
+      pool_scores[i] = scores[pool[static_cast<size_t>(i)]];
     }
     const Vector quality = ApplyQuality(pool_scores, config_.quality);
     const double alpha = config_.kernel_blend_alpha;
 
     auto built = std::make_shared<ServedKernel>();
-    built->items = work.pool;
+    built->items = pool;
     built->model_version = model_version();
     built->path = ChooseServePath(config_, pool_size, diversity_->rank());
     PathTotal(built->path)->Inc();
@@ -366,19 +382,19 @@ Result<RecommendationService::UserWork> RecommendationService::PrepareUser(
       case ServePath::kFactorMap: {
         LKP_ASSIGN_OR_RETURN(
             FactorDiagKernelRep rep,
-            BuildFactorMap(diversity_->FactorRows(work.pool), quality, alpha));
+            BuildFactorMap(diversity_->FactorRows(pool), quality, alpha));
         LKP_ASSIGN_OR_RETURN(built->selection, SelectMap(rep, effective_k));
         break;
       }
       case ServePath::kDualSample: {
         LKP_ASSIGN_OR_RETURN(
-            built->kdpp, BuildDualSample(diversity_->FactorRows(work.pool),
+            built->kdpp, BuildDualSample(diversity_->FactorRows(pool),
                                          quality, effective_k));
         break;
       }
       case ServePath::kPrimal: {
         Matrix conditioned =
-            AssemblePrimal(*diversity_, work.pool, quality, alpha);
+            AssemblePrimal(*diversity_, pool, quality, alpha);
         if (config_.mode == ServeMode::kSample) {
           LKP_ASSIGN_OR_RETURN(
               built->kdpp,
@@ -398,7 +414,7 @@ Result<RecommendationService::UserWork> RecommendationService::PrepareUser(
   };
   LKP_ASSIGN_OR_RETURN(
       work.entry,
-      cache_.GetOrBuild(user, hash, work.pool, build, &work.cache_hit));
+      cache_.GetOrBuild(user, hash, pool, build, &work.cache_hit));
   work.kernel_ms = timer.ElapsedMillis();
   return work;
 }
@@ -427,11 +443,11 @@ Result<RecResponse> RecommendationService::SelectTopK(int user,
   }
   response.items.reserve(local->size());
   for (int idx : *local) {
-    response.items.push_back(work.pool[static_cast<size_t>(idx)]);
+    response.items.push_back(work.entry->items[static_cast<size_t>(idx)]);
   }
-  // A request's latency is its user's kernel stage plus its own
-  // selection; duplicate requests for one user each report the shared
-  // kernel cost once.
+  // A request's latency is its user's stage (the warm lookup, or scoring,
+  // pool and fetch-or-build) plus its own selection; duplicate requests
+  // for one user each report the shared stage cost once.
   response.latency_ms = work.kernel_ms + timer.ElapsedMillis();
   return response;
 }
@@ -454,7 +470,6 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
     }
   }
 
-  // Stage 1: score each unique user's catalog once, in one parallel pass.
   std::unordered_map<int, int> slot_of_user;
   std::vector<int> unique_users;
   std::vector<int> request_slot(batch.size());
@@ -465,17 +480,8 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
     request_slot[i] = it->second;
   }
   const int num_unique = static_cast<int>(unique_users.size());
-  std::vector<Vector> scores(unique_users.size());
-  auto score_user = [&](int i) {
-    scores[static_cast<size_t>(i)] =
-        model_->ScoreAllItems(unique_users[static_cast<size_t>(i)]);
-  };
-  {
-    LKP_TRACE_SPAN("serve.score");
-    ParallelForOrSerial(pool_, num_unique, /*min_grain=*/1, score_user);
-  }
 
-  // Stage 2: fork one Rng per request in request order. Fork order is
+  // Stage 1: fork one Rng per request in request order. Fork order is
   // independent of thread count AND of batch slicing, which is what
   // keeps sampling-mode responses bit-identical under any parallelism
   // and under async admission.
@@ -488,16 +494,17 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
     }
   }
 
-  // Stage 3: pool and cache entry once per unique user — duplicate
-  // requests for a user share the build even when the cache is cold or
-  // off (and, through the cache's in-flight guard, even across
-  // concurrent batches). Grain stays 1: per-user cost is large and
-  // uneven (hit vs miss), so fine-grained claiming balances best.
+  // Stage 2: cache entry once per unique user — a warm lookup, and only
+  // on its miss scoring, the pool and fetch-or-build. Duplicate requests
+  // for a user share the build even when the cache is cold or off (and,
+  // through the cache's in-flight guard, even across concurrent
+  // batches). Grain stays 1: per-user cost is large and uneven (warm hit
+  // vs miss), so fine-grained claiming balances best.
   std::vector<UserWork> works(unique_users.size());
   std::vector<Status> user_statuses(unique_users.size(), Status::OK());
   auto prepare_user = [&](int i) {
     const size_t idx = static_cast<size_t>(i);
-    Result<UserWork> w = PrepareUser(unique_users[idx], scores[idx]);
+    Result<UserWork> w = PrepareUser(unique_users[idx]);
     if (w.ok()) {
       works[idx] = std::move(w).ValueOrDie();
     } else {
@@ -512,7 +519,7 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
     if (!s.ok()) return CountIfNumerical(s);
   }
 
-  // Stage 4: per-request selection, fanned out over the pool.
+  // Stage 3: per-request selection, fanned out over the pool.
   std::vector<RecResponse> responses(batch.size());
   std::vector<Status> statuses(batch.size(), Status::OK());
   auto serve_request = [&](int i) {

@@ -13,15 +13,18 @@
 //      each caller's std::future resolves when its batch completes. The
 //      synchronous HandleBatch path remains for callers that already
 //      have a batch in hand.
-//   2. Batching — HandleBatch deduplicates users and evaluates model
-//      scores for the whole batch in one parallel pass before any
-//      per-request work runs.
-//   3. KernelCache — per (user, ground-set hash), a lock-striped sharded
-//      LRU memoizes what serving a pool needs: in MAP-rerank mode the
-//      answer itself (the greedy selection's pool-local ids, so a hit
-//      only maps them back to item ids), in sampling mode the decomposed
-//      k-DPP (eigendecomposition + ESP table) each draw reads. Builds run
-//      with no cache lock held, and a per-key in-flight guard makes
+//   2. Batching — HandleBatch deduplicates users and runs one parallel
+//      stage over the unique users. A user whose cache entry was built
+//      at the current model version is served from it straight away;
+//      only the rest score the catalog and build their candidate pool.
+//   3. KernelCache — per (user, ground-set hash), a lock-striped LRU
+//      sharded by user memoizes what serving a pool needs: in MAP-rerank
+//      mode the answer itself (the greedy selection's pool-local ids, so
+//      a hit only maps them back to item ids), in sampling mode the
+//      decomposed k-DPP (eigendecomposition + ESP table) each draw reads.
+//      The warm lookup (KernelCache::GetCurrent) needs only the user and
+//      the version; a miss derives the key from the fresh pool. Builds
+//      run with no cache lock held, and a per-key in-flight guard makes
 //      concurrent misses on one key compute once (the rest wait and
 //      share). Which representation a miss builds is decided once, by
 //      ChooseServePath below. Sampling-mode entries skip the O(n^3)
@@ -181,8 +184,10 @@ struct RecResponse {
 };
 
 /// Serves diversified top-k lists for a fixed trained model. Thread-safe
-/// once constructed; the model must not be mutated while the service is
-/// live (call InvalidateModel after retraining).
+/// once constructed. The model and diversity kernel change only through
+/// ApplyUpdate or, after a retrain, InvalidateModel: warm users are
+/// served without rescoring, so a mutation made any other way would be
+/// served stale.
 class RecommendationService {
  public:
   /// Validates config/shape compatibility and runs model->PrepareForEval()
@@ -197,13 +202,13 @@ class RecommendationService {
   /// before returning.
   ~RecommendationService();
 
-  /// Serves a batch of requests in three parallel passes keyed on the
-  /// batch's unique users: (1) score each user's catalog once, (2) build
-  /// or fetch each user's cache entry once — duplicate requests for a
-  /// user share the build even on a cold or disabled cache — and
-  /// (3) distill each request's top-k list. Responses come back in
-  /// request order. Fails on out-of-range users or numerical breakdown;
-  /// an empty batch yields an empty vector.
+  /// Serves a batch of requests in two parallel passes: (1) fetch or
+  /// build each unique user's cache entry once — a user with an entry
+  /// at the current model version skips scoring and the pool, and
+  /// duplicate requests for a user share the build even on a cold or
+  /// disabled cache — and (2) distill each request's top-k list.
+  /// Responses come back in request order. Fails on out-of-range users
+  /// or numerical breakdown; an empty batch yields an empty vector.
   Result<std::vector<RecResponse>> HandleBatch(
       const std::vector<RecRequest>& batch);
 
@@ -262,10 +267,10 @@ class RecommendationService {
   const ServeConfig& config() const { return config_; }
 
  private:
-  /// The per-user share of a batch: the candidate pool and its served
-  /// kernel, built once no matter how many requests name the user.
+  /// The per-user share of a batch: the served entry (whose `items` is
+  /// the user's pool), fetched or built once no matter how many requests
+  /// name the user.
   struct UserWork {
-    std::vector<int> pool;
     std::shared_ptr<const ServedKernel> entry;  // Null for empty pools.
     bool cache_hit = false;
     double kernel_ms = 0.0;
@@ -283,9 +288,10 @@ class RecommendationService {
                         const DiversityKernel* diversity, ThreadPool* pool,
                         ServeConfig config);
 
-  /// Builds the pool and fetches-or-builds the user's cache entry
-  /// through the cache's deduplicated build path.
-  Result<UserWork> PrepareUser(int user, const Vector& scores);
+  /// Returns the user's entry at the current model version if resident;
+  /// otherwise scores the catalog, builds the pool and fetches-or-builds
+  /// the entry through the cache's deduplicated build path.
+  Result<UserWork> PrepareUser(int user);
 
   /// Distills one request's top-k list from its user's cache entry: the
   /// stored MAP selection, or a fresh draw from the stored k-DPP.

@@ -1,7 +1,9 @@
 // Pins two README tables to src/: the metric catalog (every "lkp_..."
 // family literal under src/ has a catalog row, and every catalog row
 // names a family src/ registers) and the trace span table (the same, for
-// every LKP_TRACE_SPAN("...") and RecordSpan("...") literal).
+// every LKP_TRACE_SPAN("...") and RecordSpan("...") literal). Also pins
+// the metrics recorded in BENCH_baseline.json to families src/ still
+// registers.
 
 #include <gtest/gtest.h>
 
@@ -112,6 +114,24 @@ std::set<std::string> CatalogFamilies() {
   return out;
 }
 
+// Families named in BENCH_baseline.json's obs_metrics section, the
+// metrics dump bench/record_baseline.sh writes as the file's last
+// section.
+std::set<std::string> BaselineFamilies() {
+  const std::string text = ReadFile(kSourceDir / "BENCH_baseline.json");
+  const size_t section = text.find("\"obs_metrics\"");
+  std::set<std::string> out;
+  if (section == std::string::npos) return out;
+  const std::regex pattern("\"(lkp_[a-z0-9_]+)");
+  for (std::sregex_iterator it(text.begin() + static_cast<long>(section),
+                               text.end(), pattern),
+       end;
+       it != end; ++it) {
+    out.insert((*it)[1].str());
+  }
+  return out;
+}
+
 TEST(MetricCatalogTest, ExpandsBracesAndStripsLabels) {
   std::set<std::string> out;
   ExpandName("lkp_a_{x,y}_total", &out);
@@ -135,6 +155,18 @@ TEST(MetricCatalogTest, ReadmeCatalogMatchesSource) {
     EXPECT_TRUE(source.count(family) > 0)
         << family << " is in README's metric catalog but src/ never "
         << "registers it";
+  }
+}
+
+TEST(MetricCatalogTest, BaselineMetricsAreRegisteredInSource) {
+  const std::set<std::string> source = SourceFamilies();
+  const std::set<std::string> baseline = BaselineFamilies();
+  ASSERT_FALSE(baseline.empty())
+      << "no obs_metrics section in BENCH_baseline.json";
+  for (const std::string& family : baseline) {
+    EXPECT_TRUE(source.count(family) > 0)
+        << family << " is recorded in BENCH_baseline.json but src/ never "
+        << "registers it (re-record with bench/record_baseline.sh)";
   }
 }
 

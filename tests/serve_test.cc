@@ -4,14 +4,18 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/map_inference.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
@@ -240,6 +244,78 @@ TEST(KernelCacheTest, InvalidationsByShardSumToTotal) {
   for (long s : cache.InvalidationsByShard()) EXPECT_EQ(s, 0);
 }
 
+// Like DummyEntry, stamped with the model version it was built under.
+std::shared_ptr<const ServedKernel> VersionedEntry(int tag,
+                                                   uint64_t version) {
+  auto e = std::make_shared<ServedKernel>();
+  e->selection = {tag};
+  e->model_version = version;
+  return e;
+}
+
+TEST(KernelCacheTest, GetCurrentReturnsOnlyTheCurrentVersion) {
+  KernelCache cache(8);
+  cache.Put(1, 10, VersionedEntry(1, /*version=*/3));
+  EXPECT_EQ(cache.GetCurrent(1, 4), nullptr);  // Built before an update.
+  EXPECT_EQ(cache.GetCurrent(2, 3), nullptr);  // Another user.
+  // Lookup misses count nothing: the caller's fallback counts the miss.
+  EXPECT_EQ(cache.hits(), 0);
+  EXPECT_EQ(cache.misses(), 0);
+  // A user with a survivor of an older version and a fresh entry gets
+  // the fresh one.
+  cache.Put(1, 11, VersionedEntry(2, /*version=*/4));
+  auto current = cache.GetCurrent(1, 4);
+  ASSERT_NE(current, nullptr);
+  EXPECT_EQ(current->selection, std::vector<int>{2});
+  auto older = cache.GetCurrent(1, 3);
+  ASSERT_NE(older, nullptr);
+  EXPECT_EQ(older->selection, std::vector<int>{1});
+}
+
+TEST(KernelCacheTest, GetCurrentMissesAfterEvictionAndAtCapacityZero) {
+  KernelCache cache(2);  // One exact-LRU shard.
+  cache.Put(1, 10, VersionedEntry(1, 0));
+  cache.Put(2, 20, VersionedEntry(2, 0));
+  cache.Put(3, 30, VersionedEntry(3, 0));  // Evicts user 1's entry.
+  EXPECT_EQ(cache.GetCurrent(1, 0), nullptr);
+  cache.InvalidateUsers({2});
+  EXPECT_EQ(cache.GetCurrent(2, 0), nullptr);
+  EXPECT_NE(cache.GetCurrent(3, 0), nullptr);
+
+  KernelCache off(0);
+  const std::vector<int> items{4, 5};
+  ASSERT_TRUE(off.GetOrBuild(1, HashGroundSet(items), items, [&] {
+                   auto e = std::make_shared<ServedKernel>();
+                   e->items = items;
+                   return Result<std::shared_ptr<const ServedKernel>>(
+                       std::move(e));
+                 }).ok());
+  EXPECT_EQ(off.GetCurrent(1, 0), nullptr);
+  EXPECT_EQ(off.hits(), 0);
+}
+
+TEST(KernelCacheTest, GetCurrentRefreshesLruAndCountsOneHit) {
+  obs::Counter* hits_total =
+      obs::MetricsRegistry::Global().GetCounter("lkp_serve_cache_hits_total");
+  obs::Counter* warm_total = obs::MetricsRegistry::Global().GetCounter(
+      "lkp_serve_cache_warm_hits_total");
+  const long hits_before = hits_total->Value();
+  const long warm_before = warm_total->Value();
+  KernelCache cache(2);
+  cache.Put(1, 10, VersionedEntry(1, 0));
+  cache.Put(2, 20, VersionedEntry(2, 0));
+  // Touch user 1 so user 2's entry becomes the LRU one.
+  ASSERT_NE(cache.GetCurrent(1, 0), nullptr);
+  EXPECT_EQ(cache.hits(), 1);
+  EXPECT_EQ(cache.misses(), 0);
+  EXPECT_EQ(hits_total->Value() - hits_before, 1);
+  EXPECT_EQ(warm_total->Value() - warm_before, 1);
+  cache.Put(3, 30, VersionedEntry(3, 0));
+  EXPECT_EQ(cache.evictions(), 1);
+  EXPECT_NE(cache.GetCurrent(1, 0), nullptr);
+  EXPECT_EQ(cache.GetCurrent(2, 0), nullptr);
+}
+
 TEST(KernelCacheTest, HashIsOrderAndContentSensitive) {
   const uint64_t a = HashGroundSet({1, 2, 3});
   EXPECT_EQ(a, HashGroundSet({1, 2, 3}));
@@ -322,17 +398,59 @@ TEST(ServeTest, ResponsesHaveKDistinctUnobservedItems) {
   }
 }
 
-std::vector<std::vector<int>> ServeManyBatches(ServeMode mode, int threads) {
+// The cache-exactness grid: one config per serve path a cache entry can
+// hold over World()'s rank-8 kernel and 20-item pools (factor_map MAP at
+// alpha 0.4, dual_sample at alpha 1, primal sampling at alpha 0.4), at
+// each of `capacities` (0 is off, 2 one exact-LRU shard, 4096 sharded).
+std::vector<ServeConfig> CacheGridConfigs(
+    std::initializer_list<int> capacities = {0, 2, 4096}) {
+  const std::pair<ServeMode, double> paths[] = {{ServeMode::kMapRerank, 0.4},
+                                                {ServeMode::kSample, 1.0},
+                                                {ServeMode::kSample, 0.4}};
+  std::vector<ServeConfig> configs;
+  for (const auto& [mode, alpha] : paths) {
+    for (int capacity : capacities) {
+      ServeConfig config = BaseConfig(mode);
+      config.kernel_blend_alpha = alpha;
+      config.cache_capacity = capacity;
+      configs.push_back(config);
+    }
+  }
+  return configs;
+}
+
+// The pool sizes every grid config runs at.
+constexpr int kGridThreads[] = {1, 4};
+
+std::string Describe(const ServeConfig& config, int threads) {
+  return StrFormat("%s alpha=%.1f capacity=%d threads=%d",
+                   ServeModeName(config.mode), config.kernel_blend_alpha,
+                   config.cache_capacity, threads);
+}
+
+ServeConfig CacheOff(ServeConfig config) {
+  config.cache_capacity = 0;
+  return config;
+}
+
+std::unique_ptr<RecommendationService> MakeService(const ServeConfig& config,
+                                                   ThreadPool* pool) {
   ServeWorld* w = World();
+  auto service = RecommendationService::Create(
+      &w->dataset, w->model.get(), &w->diversity, pool, config);
+  service.status().CheckOK();
+  return std::move(service).ValueOrDie();
+}
+
+// Four overlapping batches, so later ones revisit earlier users.
+std::vector<std::vector<int>> ServeManyBatches(const ServeConfig& config,
+                                               int threads) {
   std::unique_ptr<ThreadPool> pool;
   if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-  auto service = RecommendationService::Create(
-      &w->dataset, w->model.get(), &w->diversity, pool.get(),
-      BaseConfig(mode));
-  service.status().CheckOK();
+  auto service = MakeService(config, pool.get());
   std::vector<std::vector<int>> all_items;
   for (int b = 0; b < 4; ++b) {
-    auto responses = (*service)->HandleBatch(RoundRobinBatch(25, b * 7));
+    auto responses = service->HandleBatch(RoundRobinBatch(25, b * 7));
     responses.status().CheckOK();
     for (const RecResponse& r : *responses) all_items.push_back(r.items);
   }
@@ -340,40 +458,56 @@ std::vector<std::vector<int>> ServeManyBatches(ServeMode mode, int threads) {
 }
 
 TEST(ServeTest, RecommendationsBitIdenticalAcrossThreadCounts) {
-  for (ServeMode mode : {ServeMode::kMapRerank, ServeMode::kSample}) {
-    const auto serial = ServeManyBatches(mode, /*threads=*/0);
-    for (int threads : {1, 2, 4}) {
-      const auto parallel = ServeManyBatches(mode, threads);
+  for (const ServeConfig& config : CacheGridConfigs()) {
+    // The serial cache-off run is the oracle for every capacity.
+    const auto serial = ServeManyBatches(CacheOff(config), /*threads=*/0);
+    for (int threads : {0, 1, 2, 4}) {
+      const auto parallel = ServeManyBatches(config, threads);
       ASSERT_EQ(parallel.size(), serial.size());
       for (size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(parallel[i], serial[i])
-            << ServeModeName(mode) << " response " << i << " diverged at "
-            << threads << " threads";
+            << Describe(config, threads) << ": response " << i
+            << " diverged";
       }
     }
   }
 }
 
 TEST(ServeTest, RepeatRequestsHitTheCacheWithIdenticalResults) {
-  ServeWorld* w = World();
-  auto service = RecommendationService::Create(
-      &w->dataset, w->model.get(), &w->diversity, nullptr,
-      BaseConfig(ServeMode::kMapRerank));
-  ASSERT_TRUE(service.ok());
-  const std::vector<RecRequest> batch = RoundRobinBatch(20, 0);
-  auto first = (*service)->HandleBatch(batch);
-  ASSERT_TRUE(first.ok());
-  auto second = (*service)->HandleBatch(batch);
-  ASSERT_TRUE(second.ok());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_FALSE((*first)[i].cache_hit);
-    EXPECT_TRUE((*second)[i].cache_hit);
-    EXPECT_EQ((*first)[i].items, (*second)[i].items);
+  for (const ServeConfig& config : CacheGridConfigs()) {
+    for (int threads : kGridThreads) {
+      SCOPED_TRACE(Describe(config, threads));
+      // Every repeat user must fit in the cache: two users at capacity 2.
+      const int users = config.cache_capacity == 2 ? 2 : 20;
+      std::vector<RecRequest> batch;
+      for (int i = 0; i < 20; ++i) batch.push_back(RecRequest{i % users});
+      ThreadPool pool(threads);
+      auto service = MakeService(config, &pool);
+      auto oracle = MakeService(CacheOff(config), nullptr);
+      // Cold, warm, and cold again after the full flush. The oracle
+      // serves the same arrival order, so sampling matches draw for draw.
+      for (int round = 0; round < 3; ++round) {
+        if (round == 2) service->InvalidateModel();
+        auto got = service->HandleBatch(batch);
+        auto want = oracle->HandleBatch(batch);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        const bool warm = round == 1 && config.cache_capacity > 0;
+        for (size_t i = 0; i < batch.size(); ++i) {
+          EXPECT_EQ((*got)[i].items, (*want)[i].items)
+              << "round " << round << ", request " << i;
+          EXPECT_EQ((*got)[i].cache_hit, warm)
+              << "round " << round << ", request " << i;
+          EXPECT_EQ((*got)[i].path, (*want)[i].path);
+        }
+      }
+      // One outcome per unique user per batch.
+      const ServeStats stats = service->Snapshot();
+      const long hits = config.cache_capacity > 0 ? users : 0;
+      EXPECT_EQ(stats.cache_hits, hits);
+      EXPECT_EQ(stats.cache_misses, 3 * users - hits);
+    }
   }
-  const ServeStats stats = (*service)->Snapshot();
-  EXPECT_EQ(stats.cache_hits, 20);
-  EXPECT_EQ(stats.cache_misses, 20);
-  EXPECT_DOUBLE_EQ(stats.CacheHitRate(), 0.5);
 }
 
 TEST(ServeTest, DuplicateUsersInOneBatchShareKernelWork) {
@@ -394,22 +528,31 @@ TEST(ServeTest, DuplicateUsersInOneBatchShareKernelWork) {
 }
 
 TEST(ServeTest, TinyCacheStillServesCorrectly) {
-  ServeWorld* w = World();
-  ServeConfig config = BaseConfig(ServeMode::kMapRerank);
-  config.cache_capacity = 1;  // Constant eviction churn.
-  auto service = RecommendationService::Create(
-      &w->dataset, w->model.get(), &w->diversity, nullptr, config);
-  ASSERT_TRUE(service.ok());
-  auto baseline = (*service)->HandleBatch(RoundRobinBatch(10, 0));
-  ASSERT_TRUE(baseline.ok());
-  auto again = (*service)->HandleBatch(RoundRobinBatch(10, 0));
-  ASSERT_TRUE(again.ok());
-  for (size_t i = 0; i < baseline->size(); ++i) {
-    EXPECT_EQ((*baseline)[i].items, (*again)[i].items)
-        << "eviction changed a recommendation";
+  // Capacities 1 and 2 churn on 10 users (constant eviction); 0 and 4096
+  // bracket them.
+  for (const ServeConfig& config : CacheGridConfigs({0, 1, 2, 4096})) {
+    for (int threads : kGridThreads) {
+      SCOPED_TRACE(Describe(config, threads));
+      ThreadPool pool(threads);
+      auto service = MakeService(config, &pool);
+      auto oracle = MakeService(CacheOff(config), nullptr);
+      for (int round = 0; round < 2; ++round) {
+        auto got = service->HandleBatch(RoundRobinBatch(10, 0));
+        auto want = oracle->HandleBatch(RoundRobinBatch(10, 0));
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        for (size_t i = 0; i < got->size(); ++i) {
+          EXPECT_EQ((*got)[i].items, (*want)[i].items)
+              << "eviction changed a recommendation (round " << round
+              << ", request " << i << ")";
+        }
+      }
+      EXPECT_LE(service->cache().size(), config.cache_capacity);
+      if (config.cache_capacity > 0 && config.cache_capacity < 10) {
+        EXPECT_GT(service->cache().evictions(), 0);
+      }
+    }
   }
-  EXPECT_LE((*service)->cache().size(), 1);
-  EXPECT_GT((*service)->cache().evictions(), 0);
 }
 
 TEST(ServeTest, MapModeMatchesDirectGreedyRerank) {

@@ -310,6 +310,64 @@ TEST(ModelUpdaterTest, TargetedInvalidationKeepsUntouchedEntriesWarm) {
   EXPECT_GT(warm, 0);
 }
 
+// The stale-pool guard. An update can lift an item from outside a user's
+// pool into it while touching neither the user nor any item of the pool,
+// so the user's entry survives targeted invalidation but no longer
+// matches the user's pool. A warm user is served without rescoring, so
+// only the entry's version stamp stops the old list from being served.
+TEST(ModelUpdaterTest, ItemLiftedIntoASurvivingPoolIsNeverServedStale) {
+  StreamWorld w = MakeWorld();
+  const ServeConfig scfg = BaseServeConfig(ServeMode::kMapRerank);
+  auto service = RecommendationService::Create(
+      &w.dataset, w.model.get(), w.diversity.get(), nullptr, scfg);
+  ASSERT_TRUE(service.ok());
+  RecommendationService* svc = service->get();
+  const int user = 3;
+  ASSERT_TRUE(svc->HandleOne(user).ok());
+  auto warm = svc->HandleOne(user);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(warm->cache_hit);
+
+  const std::vector<int> pool = GroundSetBuilder::BuildServingPool(
+      w.dataset, user, w.model->ScoreAllItems(user), scfg.pool_size);
+  int lifted = -1;
+  for (int item = 0; item < w.dataset.num_items() && lifted < 0; ++item) {
+    if (!w.dataset.IsObserved(user, item) &&
+        std::find(pool.begin(), pool.end(), item) == pool.end()) {
+      lifted = item;
+    }
+  }
+  ASSERT_GE(lifted, 0);
+
+  // Point the item's MF row along the user's, 10x as long, and report
+  // only the item as touched.
+  svc->ApplyUpdate([&](std::vector<int>*, std::vector<int>* items) {
+    const std::vector<ad::Param*> params = w.model->Params();
+    const Matrix& user_rows = params[0]->value;
+    Matrix& item_rows = params[1]->value;
+    for (int c = 0; c < item_rows.cols(); ++c) {
+      item_rows(lifted, c) = 10.0 * user_rows(user, c);
+    }
+    items->push_back(lifted);
+  });
+  ASSERT_EQ(svc->cache().size(), 1);  // The user's entry survived.
+
+  auto served = svc->HandleOne(user);
+  ASSERT_TRUE(served.ok());
+  ServeConfig off = scfg;
+  off.cache_capacity = 0;
+  auto fresh = RecommendationService::Create(
+      &w.dataset, w.model.get(), w.diversity.get(), nullptr, off);
+  ASSERT_TRUE(fresh.ok());
+  auto want = (*fresh)->HandleOne(user);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(served->items, want->items);
+  EXPECT_NE(std::find(served->items.begin(), served->items.end(), lifted),
+            served->items.end())
+      << "item " << lifted << " was lifted above the pool but not served";
+  EXPECT_FALSE(served->cache_hit);
+}
+
 // The replay-determinism acceptance criterion: a fixed request/update
 // interleave replays bit-identically at 1, 4, and 8 threads — sampled
 // item sets, touched-row lists, versions, and the summed BPR loss.
