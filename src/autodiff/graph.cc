@@ -375,13 +375,14 @@ Tensor Graph::Tanh(Tensor a) {
   });
 }
 
-Tensor Graph::Spmm(const SparseMatrix* sparse, Tensor dense) {
+Tensor Graph::Spmm(const SparseMatrix* sparse, Tensor dense,
+                   ThreadPool* pool) {
   LKP_CHECK(sparse != nullptr);
   const int pd = dense.id;
-  return MakeNode(sparse->Multiply(value(dense)), {pd},
-                  [pd, sparse](Graph* g, int self) {
-                    g->AccumulateGrad(
-                        pd, sparse->MultiplyTransposed(g->node(self).grad));
+  return MakeNode(sparse->Multiply(value(dense), pool), {pd},
+                  [pd, sparse, pool](Graph* g, int self) {
+                    g->AccumulateGrad(pd, sparse->MultiplyTransposed(
+                                              g->node(self).grad, pool));
                   });
 }
 

@@ -163,9 +163,11 @@ class Graph {
   Tensor Sigmoid(Tensor a);
   Tensor Tanh(Tensor a);
 
-  /// Constant CSR matrix times dense tensor; the sparse matrix must
-  /// outlive the graph. Gradient is A^T * upstream.
-  Tensor Spmm(const SparseMatrix* sparse, Tensor dense);
+  /// Constant CSR matrix times dense tensor; the sparse matrix and
+  /// `pool` must outlive the graph. Gradient is A^T * upstream. Both
+  /// products split their rows over `pool` (bit-identical to serial).
+  Tensor Spmm(const SparseMatrix* sparse, Tensor dense,
+              ThreadPool* pool = nullptr);
 
   /// Mean of several same-shaped tensors (GCN layer aggregation).
   Tensor MeanOf(const std::vector<Tensor>& tensors);

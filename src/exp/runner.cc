@@ -72,6 +72,7 @@ Result<std::unique_ptr<RecModel>> ExperimentRunner::MakeModel(
       GcnModel::Config cfg;
       cfg.embedding_dim = spec.embedding_dim;
       cfg.seed = spec.seed;
+      cfg.pool = pool_;  // Bit-identical with or without a pool.
       LKP_ASSIGN_OR_RETURN(std::unique_ptr<GcnModel> model,
                            GcnModel::Create(*dataset_, cfg));
       return std::unique_ptr<RecModel>(std::move(model));
@@ -88,6 +89,7 @@ Result<std::unique_ptr<RecModel>> ExperimentRunner::MakeModel(
       cfg.embedding_dim = spec.embedding_dim;
       cfg.hidden_dim = spec.embedding_dim;
       cfg.seed = spec.seed;
+      cfg.pool = pool_;
       LKP_ASSIGN_OR_RETURN(std::unique_ptr<GcmcModel> model,
                            GcmcModel::Create(*dataset_, cfg));
       return std::unique_ptr<RecModel>(std::move(model));
@@ -214,7 +216,11 @@ Result<ExperimentResult> ExperimentRunner::RunAndKeepModel(
       // instances then shard across the pool, each on a private graph,
       // with gradients reduced in instance order (bit-identical at any
       // thread count — see opt/parallel_batch.h).
-      std::unique_ptr<RecModel::Batch> batch = model->StartBatch();
+      std::unique_ptr<RecModel::Batch> batch;
+      {
+        LKP_TRACE_SPAN("train.prefix_forward");
+        batch = model->StartBatch();
+      }
 
       auto build_instance =
           [&](int i, ad::Graph* graph) -> Result<InstanceGrad> {
@@ -274,7 +280,10 @@ Result<ExperimentResult> ExperimentRunner::RunAndKeepModel(
       if (summary.contributed == 0) continue;
       epoch_loss += summary.loss_sum;
       counted += summary.contributed;
-      LKP_RETURN_IF_ERROR(batch->Finish());
+      {
+        LKP_TRACE_SPAN("train.prefix_backward");
+        LKP_RETURN_IF_ERROR(batch->Finish());
+      }
       LKP_RETURN_IF_ERROR(optimizer.Step(params));
     }
     result.final_train_loss =

@@ -51,11 +51,15 @@ class ExperimentRunner {
       : dataset_(dataset), evaluator_(dataset) {}
 
   /// Attaches a pool so training minibatches shard per instance (see
-  /// opt/parallel_batch.h), the diversity-kernel pre-training shards
+  /// opt/parallel_batch.h), the GCN and GC-MC models MakeModel builds
+  /// split their prefix's sparse products by output row, the optimizer
+  /// splits each param's rows, the diversity-kernel pre-training shards
   /// per pair, and the per-epoch validation and final test evaluation
   /// fan out per user. Results stay bit-identical at any pool size —
-  /// every parallel section reduces in a fixed order. Pass nullptr to
-  /// go back to serial. The pool must outlive the runner's Run calls.
+  /// every output element is computed by one thread in the serial order
+  /// and every reduction runs in a fixed order. Pass nullptr to go back
+  /// to serial. The pool must outlive the runner's Run calls and every
+  /// model MakeModel or RunAndKeepModel hands out.
   void SetThreadPool(ThreadPool* pool) {
     pool_ = pool;
     evaluator_.SetThreadPool(pool);

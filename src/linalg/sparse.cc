@@ -6,6 +6,57 @@
 
 namespace lkpdpp {
 
+namespace {
+
+// Fewest output rows a lane claims at once: a row costs its nnz x d
+// multiply-adds (a few hundred on the training graphs), so smaller
+// chunks cost more to hand out than to compute.
+constexpr int kMinRowsPerChunk = 64;
+
+// out = A * dense for A in CSR form; see sparse.h for the row order.
+Matrix MultiplyCsr(const std::vector<int>& offsets,
+                   const std::vector<int>& indices,
+                   const std::vector<double>& values, const Matrix& dense,
+                   ThreadPool* pool) {
+  const int rows = static_cast<int>(offsets.size()) - 1;
+  Matrix out(rows, dense.cols());
+  ParallelForOrSerial(pool, rows, kMinRowsPerChunk, [&](int r) {
+    double* out_row = out.RowPtr(r);
+    for (int p = offsets[r]; p < offsets[r + 1]; ++p) {
+      const double v = values[p];
+      const double* in_row = dense.RowPtr(indices[p]);
+      for (int c = 0; c < dense.cols(); ++c) out_row[c] += v * in_row[c];
+    }
+  });
+  return out;
+}
+
+}  // namespace
+
+SparseMatrix::SparseMatrix(int rows, int cols, std::vector<int> row_offsets,
+                           std::vector<int> col_indices,
+                           std::vector<double> values)
+    : rows_(rows),
+      cols_(cols),
+      row_offsets_(std::move(row_offsets)),
+      col_indices_(std::move(col_indices)),
+      values_(std::move(values)),
+      col_offsets_(cols + 1, 0),
+      row_indices_(values_.size()),
+      col_values_(values_.size()) {
+  // Stable counting sort by column: rows are scanned in ascending order.
+  for (int c : col_indices_) ++col_offsets_[c + 1];
+  for (int c = 0; c < cols_; ++c) col_offsets_[c + 1] += col_offsets_[c];
+  std::vector<int> next(col_offsets_.begin(), col_offsets_.end() - 1);
+  for (int r = 0; r < rows_; ++r) {
+    for (int p = row_offsets_[r]; p < row_offsets_[r + 1]; ++p) {
+      const int q = next[col_indices_[p]]++;
+      row_indices_[q] = r;
+      col_values_[q] = values_[p];
+    }
+  }
+}
+
 Result<SparseMatrix> SparseMatrix::FromTriplets(
     int rows, int cols, std::vector<Triplet> triplets) {
   if (rows < 0 || cols < 0) {
@@ -48,32 +99,15 @@ Result<SparseMatrix> SparseMatrix::FromTriplets(
                       std::move(col_indices), std::move(values));
 }
 
-Matrix SparseMatrix::Multiply(const Matrix& dense) const {
+Matrix SparseMatrix::Multiply(const Matrix& dense, ThreadPool* pool) const {
   LKP_CHECK_EQ(cols_, dense.rows());
-  Matrix out(rows_, dense.cols());
-  for (int r = 0; r < rows_; ++r) {
-    double* out_row = out.RowPtr(r);
-    for (int p = row_offsets_[r]; p < row_offsets_[r + 1]; ++p) {
-      const double v = values_[p];
-      const double* in_row = dense.RowPtr(col_indices_[p]);
-      for (int c = 0; c < dense.cols(); ++c) out_row[c] += v * in_row[c];
-    }
-  }
-  return out;
+  return MultiplyCsr(row_offsets_, col_indices_, values_, dense, pool);
 }
 
-Matrix SparseMatrix::MultiplyTransposed(const Matrix& dense) const {
+Matrix SparseMatrix::MultiplyTransposed(const Matrix& dense,
+                                        ThreadPool* pool) const {
   LKP_CHECK_EQ(rows_, dense.rows());
-  Matrix out(cols_, dense.cols());
-  for (int r = 0; r < rows_; ++r) {
-    const double* in_row = dense.RowPtr(r);
-    for (int p = row_offsets_[r]; p < row_offsets_[r + 1]; ++p) {
-      const double v = values_[p];
-      double* out_row = out.RowPtr(col_indices_[p]);
-      for (int c = 0; c < dense.cols(); ++c) out_row[c] += v * in_row[c];
-    }
-  }
-  return out;
+  return MultiplyCsr(col_offsets_, row_indices_, col_values_, dense, pool);
 }
 
 Vector SparseMatrix::Multiply(const Vector& x) const {

@@ -3,6 +3,14 @@
 // GCN backbones multiply the (symmetrically normalized) user-item
 // adjacency against dense embedding matrices each layer; CSR keeps that
 // O(nnz * d) instead of O((N+M)^2 * d).
+//
+// Both dense products run one row kernel: output row r sums its terms
+// in stored order, on whichever lane owns r. A^T is a second CSR built
+// once at construction (so the matrix holds its entries twice), sorted
+// stably by column: each of its rows lists its terms in ascending source
+// row, the order a serial scatter over A's rows adds them. Splitting the
+// output rows over a pool therefore never changes a sum, and both
+// products are bit-identical at any thread count.
 
 #ifndef LKPDPP_LINALG_SPARSE_H_
 #define LKPDPP_LINALG_SPARSE_H_
@@ -10,6 +18,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "linalg/matrix.h"
 
 namespace lkpdpp {
@@ -34,10 +43,13 @@ class SparseMatrix {
   int nnz() const { return static_cast<int>(values_.size()); }
 
   /// Sparse x dense product: (rows x cols) * (cols x d) -> (rows x d).
-  Matrix Multiply(const Matrix& dense) const;
+  /// With a pool, the output rows are split across its lanes.
+  Matrix Multiply(const Matrix& dense, ThreadPool* pool = nullptr) const;
 
-  /// Transposed product: A^T * dense, shape (cols x d).
-  Matrix MultiplyTransposed(const Matrix& dense) const;
+  /// Transposed product: A^T * dense, shape (cols x d), split like
+  /// Multiply.
+  Matrix MultiplyTransposed(const Matrix& dense,
+                            ThreadPool* pool = nullptr) const;
 
   /// Sparse x vector.
   Vector Multiply(const Vector& x) const;
@@ -54,18 +66,17 @@ class SparseMatrix {
 
  private:
   SparseMatrix(int rows, int cols, std::vector<int> row_offsets,
-               std::vector<int> col_indices, std::vector<double> values)
-      : rows_(rows),
-        cols_(cols),
-        row_offsets_(std::move(row_offsets)),
-        col_indices_(std::move(col_indices)),
-        values_(std::move(values)) {}
+               std::vector<int> col_indices, std::vector<double> values);
 
   int rows_;
   int cols_;
   std::vector<int> row_offsets_;
   std::vector<int> col_indices_;
   std::vector<double> values_;
+  // A^T in CSR: per column, the rows holding an entry, ascending.
+  std::vector<int> col_offsets_;
+  std::vector<int> row_indices_;
+  std::vector<double> col_values_;
 };
 
 }  // namespace lkpdpp

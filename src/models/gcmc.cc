@@ -22,6 +22,7 @@ GcmcModel::GcmcModel(int num_users, int num_items, SparseMatrix adjacency,
                      const Config& config)
     : num_users_(num_users),
       num_items_(num_items),
+      pool_(config.pool),
       adjacency_(std::move(adjacency)),
       features_("gcmc.features", Matrix()),
       w_conv_("gcmc.w_conv", Matrix()),
@@ -58,7 +59,7 @@ class GcmcBatch final : public RecModel::Batch {
  public:
   GcmcBatch(ad::Param* features, ad::Param* w_conv, ad::Param* w_self,
             ad::Param* decoder, const SparseMatrix* adjacency,
-            int num_users)
+            int num_users, ThreadPool* pool)
       : num_users_(num_users),
         decoder_(decoder),
         boundary_("gcmc.encoded", Matrix()) {
@@ -66,7 +67,7 @@ class GcmcBatch final : public RecModel::Batch {
     ad::Tensor wc = prefix_.Parameter(w_conv);
     ad::Tensor ws = prefix_.Parameter(w_self);
     // H = relu(A_hat X W_c + X W_s).
-    ad::Tensor agg = prefix_.MatMul(prefix_.Spmm(adjacency, x), wc);
+    ad::Tensor agg = prefix_.MatMul(prefix_.Spmm(adjacency, x, pool), wc);
     ad::Tensor self = prefix_.MatMul(x, ws);
     encoded_ = prefix_.Relu(prefix_.Add(agg, self));
     boundary_.value = encoded_.value();
@@ -114,11 +115,13 @@ class GcmcBatch final : public RecModel::Batch {
 
 std::unique_ptr<RecModel::Batch> GcmcModel::StartBatch() {
   return std::make_unique<GcmcBatch>(&features_, &w_conv_, &w_self_,
-                                     &decoder_, &adjacency_, num_users_);
+                                     &decoder_, &adjacency_, num_users_,
+                                     pool_);
 }
 
 Matrix GcmcModel::EncodeEval() const {
-  Matrix agg = MatMul(adjacency_.Multiply(features_.value), w_conv_.value);
+  Matrix agg =
+      MatMul(adjacency_.Multiply(features_.value, pool_), w_conv_.value);
   Matrix self = MatMul(features_.value, w_self_.value);
   agg += self;
   for (int r = 0; r < agg.rows(); ++r) {

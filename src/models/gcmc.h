@@ -15,6 +15,7 @@
 #include <memory>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "models/rec_model.h"
 
@@ -27,6 +28,11 @@ class GcmcModel final : public RecModel {
     int hidden_dim = 16;
     double init_scale = 0.1;
     uint64_t seed = 4;
+    /// Splits the encoder's sparse products (the training prefix in
+    /// both directions, and EncodeEval) across this pool's lanes.
+    /// Results are bit-identical with or without a pool. The pool must
+    /// outlive the model, including a model kept by RunAndKeepModel.
+    ThreadPool* pool = nullptr;
   };
 
   static Result<std::unique_ptr<GcmcModel>> Create(const Dataset& dataset,
@@ -53,6 +59,7 @@ class GcmcModel final : public RecModel {
 
   int num_users_;
   int num_items_;
+  ThreadPool* pool_;
   SparseMatrix adjacency_;
   ad::Param features_;   // (N+M) x d input embeddings.
   ad::Param w_conv_;     // d x h neighbor-aggregation weight.

@@ -11,6 +11,7 @@ GcnModel::GcnModel(int num_users, int num_items, SparseMatrix adjacency,
     : num_users_(num_users),
       num_items_(num_items),
       num_layers_(config.num_layers),
+      pool_(config.pool),
       adjacency_(std::move(adjacency)),
       embeddings_("gcn.embeddings", Matrix()) {
   Rng rng(config.seed);
@@ -43,13 +44,13 @@ namespace {
 class GcnBatch final : public RecModel::Batch {
  public:
   GcnBatch(ad::Param* embeddings, const SparseMatrix* adjacency,
-           int num_layers, int num_users)
+           int num_layers, int num_users, ThreadPool* pool)
       : num_users_(num_users), boundary_("gcn.propagated", Matrix()) {
     ad::Tensor e0 = prefix_.Parameter(embeddings);
     std::vector<ad::Tensor> layers = {e0};
     ad::Tensor cur = e0;
     for (int l = 0; l < num_layers; ++l) {
-      cur = prefix_.Spmm(adjacency, cur);
+      cur = prefix_.Spmm(adjacency, cur, pool);
       layers.push_back(cur);
     }
     propagated_ = prefix_.MeanOf(layers);
@@ -93,14 +94,14 @@ class GcnBatch final : public RecModel::Batch {
 
 std::unique_ptr<RecModel::Batch> GcnModel::StartBatch() {
   return std::make_unique<GcnBatch>(&embeddings_, &adjacency_, num_layers_,
-                                    num_users_);
+                                    num_users_, pool_);
 }
 
 Matrix GcnModel::PropagateEval() const {
   Matrix acc = embeddings_.value;
   Matrix cur = embeddings_.value;
   for (int l = 0; l < num_layers_; ++l) {
-    cur = adjacency_.Multiply(cur);
+    cur = adjacency_.Multiply(cur, pool_);
     acc += cur;
   }
   acc *= 1.0 / (num_layers_ + 1.0);

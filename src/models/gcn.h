@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "models/rec_model.h"
 
@@ -26,6 +27,11 @@ class GcnModel final : public RecModel {
     int num_layers = 2;
     double init_scale = 0.1;
     uint64_t seed = 2;
+    /// Splits the propagation's sparse products (the training prefix in
+    /// both directions, and PropagateEval) across this pool's lanes.
+    /// Results are bit-identical with or without a pool. The pool must
+    /// outlive the model, including a model kept by RunAndKeepModel.
+    ThreadPool* pool = nullptr;
   };
 
   /// Builds the normalized adjacency from the dataset's train edges.
@@ -51,6 +57,7 @@ class GcnModel final : public RecModel {
   int num_users_;
   int num_items_;
   int num_layers_;
+  ThreadPool* pool_;
   SparseMatrix adjacency_;
   ad::Param embeddings_;  // (N+M) x d joint table.
   Matrix eval_cache_;     // PrepareForEval output.

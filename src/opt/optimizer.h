@@ -8,10 +8,10 @@
 // Steps are fallible: a non-finite gradient norm (an instance that blew
 // up upstream) aborts the update with a NumericalError before any
 // parameter is touched, instead of silently scaling every gradient by
-// NaN. With a thread pool attached, the per-parameter update loops run
-// in parallel — updates for distinct params touch disjoint memory and
-// the global-norm reduction stays in fixed parameter order, so stepping
-// is bit-identical at any thread count.
+// NaN. With a thread pool attached, each param's rows are updated in
+// parallel — every element's update reads and writes only that element
+// and the global-norm reduction stays in fixed parameter order, so
+// stepping is bit-identical at any thread count.
 
 #ifndef LKPDPP_OPT_OPTIMIZER_H_
 #define LKPDPP_OPT_OPTIMIZER_H_
@@ -44,7 +44,7 @@ class Optimizer {
   /// modified and the grads are left in place for inspection.
   virtual Status Step(const std::vector<ad::Param*>& params) = 0;
 
-  /// Fans the per-param update loops out over `pool` (results are
+  /// Fans each param's row updates out over `pool` (results are
   /// bit-identical to the serial path). Pass nullptr to go serial.
   void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
@@ -55,10 +55,6 @@ class Optimizer {
   static Result<double> ClipGlobalNorm(const std::vector<ad::Param*>& params,
                                        double clip_norm,
                                        ThreadPool* pool = nullptr);
-
- protected:
-  /// Runs fn(i) for each param index, on the pool when attached.
-  void ForEachParam(int n, const std::function<void(int)>& fn) const;
 
  private:
   ThreadPool* pool_ = nullptr;

@@ -8,9 +8,50 @@
 
 #include "common/thread_pool.h"
 #include "opt/optimizer.h"
+#include "testing_util.h"
 
 namespace lkpdpp {
 namespace {
+
+// Steps `serial` and `pooled` (attached to a 4-thread pool) 50 times
+// with grad = value, over a 1,000 x 16 param whose rows split into more
+// chunks than the pool has lanes and two tiny params that stay on the
+// caller; every final value must match bit for bit.
+void ExpectPooledStepsBitIdentical(Optimizer* serial, Optimizer* pooled) {
+  ThreadPool pool(4);
+  pooled->SetThreadPool(&pool);
+  std::vector<Matrix> serial_values;
+  for (Optimizer* opt : {serial, pooled}) {
+    Rng rng(8);
+    ad::Param big("big", testutil::RandomMatrix(1000, 16, &rng));
+    ad::Param a("a", Matrix{{4.0, -1.0}});
+    ad::Param b("b", Matrix{{-4.0}, {2.0}});
+    for (int step = 0; step < 50; ++step) {
+      for (ad::Param* p : {&big, &a, &b}) p->grad = p->value;
+      ASSERT_TRUE(opt->Step({&big, &a, &b}).ok());
+    }
+    if (opt == serial) {
+      serial_values = {big.value, a.value, b.value};
+      continue;
+    }
+    const std::vector<Matrix> values = {big.value, a.value, b.value};
+    for (size_t i = 0; i < values.size(); ++i) {
+      for (int r = 0; r < values[i].rows(); ++r) {
+        for (int c = 0; c < values[i].cols(); ++c) {
+          ASSERT_EQ(values[i](r, c), serial_values[i](r, c))
+              << "param " << i << " at (" << r << "," << c << ")";
+        }
+      }
+    }
+    // Stepping the big param alone hands every worker a helper task, so
+    // its rows really were split.
+    const long tasks0 = testutil::PoolTasks();
+    big.grad = big.value;
+    ASSERT_TRUE(opt->Step({&big}).ok());
+    EXPECT_EQ(testutil::PoolTasks() - tasks0, pool.num_threads());
+  }
+  pooled->SetThreadPool(nullptr);
+}
 
 TEST(SgdTest, SingleStepMatchesFormula) {
   ad::Param p("p", Matrix{{1.0, -2.0}});
@@ -183,32 +224,23 @@ TEST(AdamTest, HandlesMultipleParamsIndependently) {
 }
 
 TEST(AdamTest, PooledStepBitIdenticalToSerial) {
-  // The same trajectory must fall out whether the per-param update
-  // loops run serially or on a pool.
-  ThreadPool pool(4);
-  Matrix serial_a, serial_b;
-  for (int trial = 0; trial < 2; ++trial) {
-    ad::Param a("a", Matrix{{4.0, -1.0}});
-    ad::Param b("b", Matrix{{-4.0}, {2.0}});
-    AdamOptimizer::AdamOptions opts;
-    opts.learning_rate = 0.1;
-    AdamOptimizer adam(opts);
-    if (trial == 1) adam.SetThreadPool(&pool);
-    for (int step = 0; step < 50; ++step) {
-      a.grad = a.value;
-      b.grad = b.value;
-      ASSERT_TRUE(adam.Step({&a, &b}).ok());
-    }
-    if (trial == 0) {
-      serial_a = a.value;
-      serial_b = b.value;
-    } else {
-      EXPECT_DOUBLE_EQ(a.value(0, 0), serial_a(0, 0));
-      EXPECT_DOUBLE_EQ(a.value(0, 1), serial_a(0, 1));
-      EXPECT_DOUBLE_EQ(b.value(0, 0), serial_b(0, 0));
-      EXPECT_DOUBLE_EQ(b.value(1, 0), serial_b(1, 0));
-    }
-  }
+  // The same trajectory must fall out whether each param's rows update
+  // serially or split across a pool.
+  AdamOptimizer::AdamOptions opts;
+  opts.learning_rate = 0.1;
+  opts.weight_decay = 0.01;
+  AdamOptimizer serial(opts);
+  AdamOptimizer pooled(opts);
+  ExpectPooledStepsBitIdentical(&serial, &pooled);
+}
+
+TEST(SgdTest, PooledStepBitIdenticalToSerial) {
+  Optimizer::Options opts;
+  opts.learning_rate = 0.1;
+  opts.weight_decay = 0.01;
+  SgdOptimizer serial(opts);
+  SgdOptimizer pooled(opts);
+  ExpectPooledStepsBitIdentical(&serial, &pooled);
 }
 
 TEST(AdamTest, AdaptsToGradientScale) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/synthetic.h"
 #include "linalg/sparse.h"
 #include "models/graph_utils.h"
@@ -12,6 +14,35 @@
 
 namespace lkpdpp {
 namespace {
+
+// The scatter A^T * dense that MultiplyTransposed replaced: rows of A in
+// ascending order, each adding its terms into the output rows of its
+// columns. The row kernel over the transposed CSR must match it bit for
+// bit.
+Matrix ScatterTransposed(const SparseMatrix& a, const Matrix& dense) {
+  Matrix out(a.cols(), dense.cols());
+  for (int r = 0; r < a.rows(); ++r) {
+    const double* in_row = dense.RowPtr(r);
+    for (int p = a.row_offsets()[r]; p < a.row_offsets()[r + 1]; ++p) {
+      const double v = a.values()[p];
+      double* out_row = out.RowPtr(a.col_indices()[p]);
+      for (int c = 0; c < dense.cols(); ++c) out_row[c] += v * in_row[c];
+    }
+  }
+  return out;
+}
+
+void ExpectBitEqual(const Matrix& a, const Matrix& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  for (int r = 0; r < a.rows(); ++r) {
+    for (int c = 0; c < a.cols(); ++c) {
+      ASSERT_EQ(a(r, c), b(r, c)) << what << " differs at (" << r << ","
+                                  << c << ")";
+    }
+  }
+}
 
 TEST(SparseTest, FromTripletsBasic) {
   auto m = SparseMatrix::FromTriplets(
@@ -77,6 +108,50 @@ TEST(SparseTest, MultiplyTransposedMatchesDense) {
   Matrix dense = testutil::RandomMatrix(7, 3, &rng);
   const Matrix expected = MatMul(sp->ToDense().Transpose(), dense);
   EXPECT_LT((sp->MultiplyTransposed(dense) - expected).MaxAbs(), 1e-12);
+}
+
+TEST(SparseTest, PooledProductsBitIdenticalAtAnyThreadCount) {
+  // Non-square and non-symmetric, with duplicate triplets, one empty row
+  // and one empty column; at 2,600 x 2,400 both products split into
+  // several chunks per lane of even a 9-lane pool.
+  constexpr int kRows = 2600;
+  constexpr int kCols = 2400;
+  constexpr int kEmptyRow = 1234;
+  constexpr int kEmptyCol = 777;
+  Rng rng(4);
+  std::vector<SparseMatrix::Triplet> triplets;
+  while (triplets.size() < 40000) {
+    const int r = rng.UniformInt(kRows);
+    const int c = rng.UniformInt(kCols);
+    if (r != kEmptyRow && c != kEmptyCol) {
+      triplets.push_back({r, c, rng.Normal()});
+    }
+  }
+  for (int i = 0; i < 500; ++i) {
+    triplets.push_back({triplets[i].row, triplets[i].col, rng.Normal()});
+  }
+  auto sp = SparseMatrix::FromTriplets(kRows, kCols, triplets);
+  ASSERT_TRUE(sp.ok());
+  ASSERT_LT(sp->nnz(), static_cast<int>(triplets.size()));  // Summed.
+  ASSERT_EQ(sp->row_offsets()[kEmptyRow], sp->row_offsets()[kEmptyRow + 1]);
+  for (int c : sp->col_indices()) ASSERT_NE(c, kEmptyCol);
+
+  const Matrix x = testutil::RandomMatrix(kCols, 8, &rng);
+  const Matrix y = testutil::RandomMatrix(kRows, 8, &rng);
+  const Matrix serial = sp->Multiply(x);
+  const Matrix scatter = ScatterTransposed(*sp, y);
+  ExpectBitEqual(sp->MultiplyTransposed(y), scatter, "serial transposed");
+  for (int threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    const std::string what = "threads=" + std::to_string(threads);
+    const long tasks0 = testutil::PoolTasks();
+    ExpectBitEqual(sp->Multiply(x, &pool), serial, what + " Multiply");
+    ExpectBitEqual(sp->MultiplyTransposed(y, &pool), scatter,
+                   what + " MultiplyTransposed");
+    // Each product handed every worker a helper task: it split into at
+    // least as many chunks as the pool has lanes.
+    EXPECT_EQ(testutil::PoolTasks() - tasks0, 2L * threads) << what;
+  }
 }
 
 TEST(SparseTest, MatVecAndRowSums) {

@@ -9,9 +9,18 @@
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
+#include "obs/metrics.h"
 
 namespace lkpdpp {
 namespace testutil {
+
+/// Tasks submitted to any ThreadPool so far (lkp_pool_tasks_total): a
+/// ParallelFor that splits hands min(workers, chunks - 1) helpers.
+inline long PoolTasks() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("lkp_pool_tasks_total")
+      ->Value();
+}
 
 /// Dense matrix with iid standard-normal entries, filled row-major.
 inline Matrix RandomMatrix(int rows, int cols, Rng* rng) {

@@ -1,6 +1,7 @@
 // Training-determinism harness: the data-parallel minibatch trainer
 // must be bit-identical to the serial path at every thread count, for
-// every backbone shape (direct-param MF, boundary-prefix GCN), for the
+// every backbone shape (direct-param MF, boundary-prefix GCN and GC-MC,
+// whose sparse products split by row on the pool), for the
 // diversity-kernel pre-trainer, and across the edge cases that change
 // how batches shard (ragged last batch, batch-of-1, more workers than
 // instances). Runs under the TSan CI job via the `thread` label.
@@ -15,6 +16,7 @@
 #include "exp/runner.h"
 #include "kernels/diversity_kernel.h"
 #include "opt/parallel_batch.h"
+#include "testing_util.h"
 
 namespace lkpdpp {
 namespace {
@@ -26,6 +28,22 @@ Dataset MakeDataset(uint64_t seed = 71) {
   cfg.num_categories = 8;
   cfg.num_events = 6000;
   cfg.seed = seed;
+  auto ds = GenerateSyntheticDataset(cfg);
+  EXPECT_TRUE(ds.ok());
+  return std::move(ds).ValueOrDie();
+}
+
+// A graph large enough that on an 8-thread pool every sparse product of
+// a training prefix splits into at least as many chunks as lanes (564
+// nodes survive the interaction floor).
+Dataset MakePrefixDataset() {
+  SyntheticConfig cfg;
+  cfg.num_users = 500;
+  cfg.num_items = 200;
+  cfg.num_categories = 8;
+  cfg.num_events = 12000;
+  cfg.min_interactions = 5;
+  cfg.seed = 13;
   auto ds = GenerateSyntheticDataset(cfg);
   EXPECT_TRUE(ds.ok());
   return std::move(ds).ValueOrDie();
@@ -116,15 +134,41 @@ TEST(TrainParallelTest, MfBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// Pool tasks one StartBatch + Finish of `spec`'s model submits on an
+// 8-thread pool.
+long PrefixTasksAt8Threads(const Dataset& dataset,
+                           const ExperimentSpec& spec) {
+  ThreadPool pool(8);
+  ExperimentRunner runner(&dataset);
+  runner.SetThreadPool(&pool);
+  auto model = runner.MakeModel(spec);
+  EXPECT_TRUE(model.ok()) << model.status().ToString();
+  const long tasks0 = testutil::PoolTasks();
+  std::unique_ptr<RecModel::Batch> batch = (*model)->StartBatch();
+  EXPECT_TRUE(batch->Finish().ok());
+  return testutil::PoolTasks() - tasks0;
+}
+
 TEST(TrainParallelTest, GcnPrefixBitIdenticalAcrossThreadCounts) {
-  // GCN exercises the boundary-param path: shared propagation prefix,
-  // reduced boundary gradient, Finish() backprop.
-  Dataset ds = MakeDataset(13);
-  const ExperimentSpec spec = SmallSpec(ModelKind::kGcn);
-  const TrainedRun serial = TrainWith(ds, spec, /*threads=*/0);
-  for (int threads : {2, 8}) {
-    ExpectRunsBitEqual(serial, TrainWith(ds, spec, threads),
-                       "GCN threads=" + std::to_string(threads));
+  // GCN and GC-MC exercise the boundary-param path: shared propagation
+  // prefix, reduced boundary gradient, Finish() backprop; their sparse
+  // products and the optimizer split by row on the pool.
+  Dataset ds = MakePrefixDataset();
+  for (ModelKind kind : {ModelKind::kGcn, ModelKind::kGcmc}) {
+    const ExperimentSpec spec = SmallSpec(kind);
+    const std::string name = kind == ModelKind::kGcn ? "GCN" : "GCMC";
+    // Premise: at 8 threads each sparse product of the prefix (two
+    // layers forward and back for GCN, one each way for GC-MC) splits
+    // into at least as many chunks as lanes, handing all 8 workers a
+    // helper task.
+    EXPECT_EQ(PrefixTasksAt8Threads(ds, spec),
+              (kind == ModelKind::kGcn ? 4 : 2) * 8)
+        << name;
+    const TrainedRun serial = TrainWith(ds, spec, /*threads=*/0);
+    for (int threads : {1, 2, 4, 8}) {
+      ExpectRunsBitEqual(serial, TrainWith(ds, spec, threads),
+                         name + " threads=" + std::to_string(threads));
+    }
   }
 }
 
